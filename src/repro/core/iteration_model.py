@@ -17,7 +17,9 @@ combination (exercised by the property-based tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hardware.spec import gpu_occupancy
 from repro.models.profile import ModelProfile
@@ -73,7 +75,7 @@ class IterationTimeModel:
         self.model = model
         self.hardware = hardware
 
-    @property
+    @cached_property
     def effective_thp(self) -> float:
         """Peak GPU FLOPS discounted by kernel occupancy at this batch."""
         occupancy = gpu_occupancy(
@@ -170,6 +172,8 @@ class IterationTimeModel:
         return read / hw.bw_s2m + write / hw.bw_m2s
 
     def _check_a_g2m(self, a_g2m: float) -> None:
+        if not math.isfinite(a_g2m):
+            raise ValueError(f"A_G2M must be finite, got {a_g2m}")
         if a_g2m < 0:
             raise ValueError(f"A_G2M cannot be negative, got {a_g2m}")
         limit = self.model.activation_bytes_total

@@ -17,6 +17,7 @@ All sizes assume fp16 activations (2 bytes/element).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import DiTConfig, TransformerConfig
 
@@ -57,12 +58,12 @@ class BlockProfile:
     forward_flops: float
     param_count: float
 
-    @property
+    @cached_property
     def activation_bytes(self) -> float:
         """Total stored activation bytes for one block."""
         return sum(seg.nbytes for seg in self.segments)
 
-    @property
+    @cached_property
     def boundary_bytes(self) -> float:
         """Bytes of the block-output (inter-block checkpoint) tensor."""
         return self.segments[-1].nbytes

@@ -9,8 +9,12 @@ holistic swapping manager (§IV-D) chooses among.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Union
 
 from .config import DiTConfig, TransformerConfig
@@ -44,17 +48,17 @@ class ModelProfile:
         """Number of repeated transformer/DiT blocks."""
         return self.config.n_layers
 
-    @property
+    @functools.cached_property
     def n_params(self) -> float:
         """Total trainable parameters (blocks + embeddings)."""
         return float(self.config.n_params)
 
-    @property
+    @functools.cached_property
     def states(self) -> ModelStateFootprint:
         """Persistent model-state footprint (Table II)."""
         return ModelStateFootprint(self.n_params)
 
-    @property
+    @functools.cached_property
     def tokens_per_iteration(self) -> int:
         """Tokens processed per iteration (batch x sequence)."""
         return self.batch_size * self.config.seq_len
@@ -64,7 +68,7 @@ class ModelProfile:
         """Sequences (LLM) or images (DiT) per iteration."""
         return self.batch_size
 
-    @property
+    @functools.cached_property
     def head_flops(self) -> float:
         """Forward FLOPs of the embedding + output head.
 
@@ -78,22 +82,22 @@ class ModelProfile:
         patch_elems = self.config.patch_size**2 * 4
         return 2.0 * t * h * patch_elems + 4.0 * self.batch_size * h * h
 
-    @property
+    @functools.cached_property
     def forward_flops(self) -> float:
         """FLOP_f of Eq. 2: all blocks plus the head."""
         return self.n_blocks * self.block.forward_flops + self.head_flops
 
-    @property
+    @functools.cached_property
     def backward_flops(self) -> float:
         """GPU FLOPs of backward propagation (2x forward, per the paper)."""
         return 2.0 * self.forward_flops
 
-    @property
+    @functools.cached_property
     def embedding_activation_bytes(self) -> float:
         """The block-0 input produced by the embedding (one boundary tensor)."""
         return FP16 * self.tokens_per_iteration * self.config.hidden_dim
 
-    @property
+    @functools.cached_property
     def activation_bytes_total(self) -> float:
         """A_all of Eq. 2: every stored activation, all blocks + embedding out."""
         return (
@@ -101,7 +105,7 @@ class ModelProfile:
             + self.embedding_activation_bytes
         )
 
-    @property
+    @functools.cached_property
     def inter_block_bytes(self) -> float:
         """A_interBlock: the block-boundary tensors only (~6% of A_all).
 
@@ -136,32 +140,55 @@ class ModelProfile:
         benefit; a partially covered segment contributes pro-rata (the
         paper's interpolation assumption).  The embedding output (no
         recompute path) is covered first and saves no FLOPs.
+
+        A bisect over the benefit order's byte prefixes finds the fully
+        covered segments, so one call is O(log n).  Byte sizes are
+        integers below 2**53, so ``swapped_bytes - cum_bytes[k]`` is
+        exact and the result equals a segment-by-segment walk bit for bit.
         """
+        if not math.isfinite(swapped_bytes):
+            raise ValueError(f"swapped bytes must be finite, got {swapped_bytes}")
         if swapped_bytes < 0:
             raise ValueError("swapped bytes cannot be negative")
-        remaining = swapped_bytes
-        saved = 0.0
-        for segment in self.segments_by_benefit():
-            if remaining <= 0:
-                break
-            covered = min(segment.nbytes, remaining)
-            saved += segment.recompute_flops * (covered / segment.nbytes)
-            remaining -= covered
+        order, cum_bytes, cum_saved = self._benefit_order
+        full = bisect.bisect_right(cum_bytes, swapped_bytes) - 1
+        saved = cum_saved[full]
+        if full < len(order):
+            remaining = swapped_bytes - cum_bytes[full]
+            if remaining > 0:
+                segment = order[full]
+                saved += segment.recompute_flops * (remaining / segment.nbytes)
         recomputable = self.n_blocks * self.block.forward_flops
         return max(0.0, recomputable - saved)
 
-    def segments_by_benefit(self) -> list[ActivationSegment]:
+    def segments_by_benefit(self) -> tuple[ActivationSegment, ...]:
         """All swappable segments sorted by decreasing offloading benefit.
 
         The embedding output comes first: it has no recompute path (the
         block-0 input cannot be regenerated from anything cheaper), so it
         is always swapped, mirroring the paper's ``A_G2M >= A_interBlock``
-        floor.  Block segments follow in decreasing Eq.-6 benefit.
+        floor.  Block segments follow in decreasing Eq.-6 benefit.  The
+        order is built once per profile.
+        """
+        return self._benefit_order[0]
+
+    @functools.cached_property
+    def _benefit_order(self) -> tuple[tuple[ActivationSegment, ...], array, array]:
+        """The benefit order plus prefix sums of its bytes and saved FLOPs.
+
+        A stable sort keeps equal-benefit segments in block-major order.
+        ``cum_bytes[k]`` and ``cum_saved[k]`` cover the first ``k``
+        segments, accumulated in order.
         """
         embed = ActivationSegment("embed_out", self.embedding_activation_bytes, 0.0)
         flat = [seg for _idx, seg in self.segments()]
         flat.sort(key=lambda seg: seg.offloading_benefit, reverse=True)
-        return [embed] + flat
+        order = (embed, *flat)
+        cum_bytes = array("d", accumulate((seg.nbytes for seg in order), initial=0))
+        cum_saved = array(
+            "d", accumulate((seg.recompute_flops for seg in order), initial=0.0)
+        )
+        return order, cum_bytes, cum_saved
 
 
 @functools.lru_cache(maxsize=512)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +74,25 @@ class TestSpill:
         model = make_model()
         with pytest.raises(ValueError):
             model.iteration_time(model.model.activation_bytes_total * 2)
+
+
+class TestNonFinite:
+    """Every comparison with NaN is false, so range checks alone let it pass."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        server = evaluation_server(main_memory_bytes=256 * GiB, n_ssds=6)
+        return IterationTimeModel(profile_model(llm("13B"), 8), profile_hardware(server))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "entry", ["recompute_flops_for", "iteration_time", "a_to_ssd", "estimate"]
+    )
+    def test_rejected_with_one_line_error(self, model, entry, value):
+        target = model.model if entry == "recompute_flops_for" else model
+        with pytest.raises(ValueError, match="must be finite") as info:
+            getattr(target, entry)(value)
+        assert "\n" not in str(info.value)
 
 
 class TestEquations:
