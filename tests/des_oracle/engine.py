@@ -1,0 +1,255 @@
+"""A small discrete-event simulation kernel.
+
+The training-iteration engines (:mod:`repro.core.engine` and the baseline
+policies) are written as coroutine *processes* that ``yield`` events:
+timeouts, resource grants, or other processes.  The kernel is a classic
+event-heap design, similar in spirit to SimPy but only a few hundred
+lines, dependency-free and deterministic.
+
+Determinism: ties in the event heap break on a monotonically increasing
+sequence number, so two runs of the same workload produce identical
+timelines.
+"""
+
+from __future__ import annotations
+
+import heapq
+from collections.abc import Generator
+from typing import Any, Callable
+
+
+class SimulationError(RuntimeError):
+    """Raised for kernel misuse (double trigger, yielding a non-event...)."""
+
+
+class Event:
+    """A one-shot occurrence processes can wait on.
+
+    An event is *triggered* at most once with an optional value; all
+    callbacks registered before or after the trigger run at the trigger
+    time (callbacks added afterwards run immediately at the current
+    simulation time).
+    """
+
+    __slots__ = ("sim", "_callbacks", "triggered", "value")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        self._callbacks: list[Callable[["Event"], None]] = []
+        self.triggered = False
+        self.value: Any = None
+
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event now, waking every waiter."""
+        if self.triggered:
+            raise SimulationError("event triggered twice")
+        self.triggered = True
+        self.value = value
+        for callback in self._callbacks:
+            self.sim._schedule(0.0, callback, self)
+        self._callbacks.clear()
+        return self
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Run ``callback(event)`` when the event triggers (or now if it has)."""
+        if self.triggered:
+            self.sim._schedule(0.0, callback, self)
+        else:
+            self._callbacks.append(callback)
+
+
+class Timeout(Event):
+    """An event that triggers ``delay`` seconds after creation."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator", delay: float) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        super().__init__(sim)
+        sim._schedule(delay, self._fire, None)
+
+    def _fire(self, _arg: Any) -> None:
+        self.succeed()
+
+
+class AllOf(Event):
+    """Triggers when every child event has triggered.
+
+    The value is the list of child values in the order given.
+    """
+
+    __slots__ = ("_pending", "_children")
+
+    def __init__(self, sim: "Simulator", events: list[Event]) -> None:
+        super().__init__(sim)
+        self._children = list(events)
+        self._pending = len(self._children)
+        if self._pending == 0:
+            self.succeed([])
+            return
+        for event in self._children:
+            event.add_callback(self._child_done)
+
+    def _child_done(self, _event: Event) -> None:
+        self._pending -= 1
+        if self._pending == 0 and not self.triggered:
+            self.succeed([child.value for child in self._children])
+
+
+class AnyOf(Event):
+    """Triggers when the first child event triggers (value = that child's)."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator", events: list[Event]) -> None:
+        super().__init__(sim)
+        if not events:
+            raise SimulationError("AnyOf requires at least one event")
+        for event in events:
+            event.add_callback(self._child_done)
+
+    def _child_done(self, event: Event) -> None:
+        if not self.triggered:
+            self.succeed(event.value)
+
+
+ProcessGenerator = Generator[Event, Any, Any]
+
+
+class Process(Event):
+    """A coroutine driven by the simulator.
+
+    The wrapped generator yields :class:`Event` objects; the process
+    resumes with the event's value when it triggers.  When the generator
+    returns, the process (itself an event) succeeds with the return value,
+    so processes can wait on each other.
+    """
+
+    __slots__ = ("_generator",)
+
+    def __init__(self, sim: "Simulator", generator: ProcessGenerator) -> None:
+        super().__init__(sim)
+        self._generator = generator
+        sim._schedule(0.0, self._resume, _StartSentinel)
+
+    def _resume(self, arg: Any) -> None:
+        try:
+            if arg is _StartSentinel:
+                target = next(self._generator)
+            else:
+                target = self._generator.send(arg.value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process yielded {target!r}; processes must yield Event instances"
+            )
+        target.add_callback(self._resume)
+
+
+class _StartSentinelType:
+    """Marker distinguishing the initial resume from event callbacks."""
+
+
+_StartSentinel = _StartSentinelType()
+
+
+#: Optional per-event dispatch hook (installed by :mod:`repro.obs.profile`).
+#: ``None`` is the permanent fast path: the event loop pays one module
+#: global read and a ``None`` check per event — the <2% disabled-overhead
+#: bar in ``bench_obs.py`` covers it.  When set, the hook *replaces* the
+#: dispatch (``hook(callback, arg)`` must invoke ``callback(arg)``), which
+#: lets a profiler time each callback without a second clock read here.
+_event_hook: Callable[[Callable[[Any], None], Any], None] | None = None
+
+
+def set_event_hook(
+    hook: Callable[[Callable[[Any], None], Any], None] | None,
+) -> Callable[[Callable[[Any], None], Any], None] | None:
+    """Install (or clear, with ``None``) the event hook; returns the previous one."""
+    global _event_hook
+    previous = _event_hook
+    _event_hook = hook
+    return previous
+
+
+def event_kind(callback: Callable[[Any], None]) -> str:
+    """The event-type name a dispatch callback belongs to.
+
+    Heap callbacks are bound methods of kernel objects (``Timeout._fire``,
+    ``Process._resume``, ``Event``-callback closures from user code), so
+    the owner's class name is the natural per-event-type key the hot-spot
+    counters aggregate on.
+    """
+    owner = getattr(callback, "__self__", None)
+    if owner is not None:
+        return type(owner).__name__
+    return getattr(callback, "__qualname__", repr(callback))
+
+
+class Simulator:
+    """The event loop: a time-ordered heap of callbacks.
+
+    Typical use::
+
+        sim = Simulator()
+
+        def job():
+            yield sim.timeout(1.0)
+            return "done"
+
+        proc = sim.process(job())
+        sim.run()
+        assert sim.now == 1.0 and proc.value == "done"
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        self._seq = 0
+
+    def _schedule(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
+        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, arg))
+        self._seq += 1
+
+    def timeout(self, delay: float) -> Timeout:
+        """An event triggering ``delay`` seconds from now."""
+        return Timeout(self, delay)
+
+    def event(self) -> Event:
+        """A fresh untriggered event (trigger it with :meth:`Event.succeed`)."""
+        return Event(self)
+
+    def process(self, generator: ProcessGenerator) -> Process:
+        """Start a coroutine process; returns the process-as-event."""
+        return Process(self, generator)
+
+    def all_of(self, events: list[Event]) -> AllOf:
+        """Event triggering once all ``events`` have triggered."""
+        return AllOf(self, events)
+
+    def any_of(self, events: list[Event]) -> AnyOf:
+        """Event triggering once any of ``events`` has triggered."""
+        return AnyOf(self, events)
+
+    def run(self, until: float | None = None) -> float:
+        """Process events until the heap is empty (or ``until`` is reached).
+
+        Returns the final simulation time.
+        """
+        while self._heap:
+            time, _seq, callback, arg = self._heap[0]
+            if until is not None and time > until:
+                self.now = until
+                return self.now
+            heapq.heappop(self._heap)
+            if time < self.now - 1e-12:
+                raise SimulationError("event scheduled in the past")
+            self.now = max(self.now, time)
+            if _event_hook is None:
+                callback(arg)
+            else:
+                _event_hook(callback, arg)
+        return self.now
