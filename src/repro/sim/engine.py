@@ -8,14 +8,24 @@ lines, dependency-free and deterministic.
 
 Determinism: ties in the event heap break on a monotonically increasing
 sequence number, so two runs of the same workload produce identical
-timelines.
+timelines.  The kernel's invariant is that every callback is dispatched
+in ``(time, seq)`` order through the event hook; the golden corpus in
+``tests/golden/des_results.json`` and the oracle property in
+``tests/test_sim_oracle.py`` pin it.
+
+Hot path: a simulated iteration dispatches a few thousand callbacks, so
+the kernel pushes heap entries inline rather than through a helper,
+timeouts schedule their own bound ``succeed``, and processes keep their
+bound ``_resume`` and ``generator.send``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any, Callable
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -45,15 +55,25 @@ class Event:
             raise SimulationError("event triggered twice")
         self.triggered = True
         self.value = value
-        for callback in self._callbacks:
-            self.sim._schedule(0.0, callback, self)
-        self._callbacks.clear()
+        callbacks = self._callbacks
+        if callbacks:
+            sim = self.sim
+            heap = sim._heap
+            now = sim.now
+            seq = sim._seq
+            for callback in callbacks:
+                heappush(heap, (now, seq, callback, self))
+                seq += 1
+            sim._seq = seq
+            callbacks.clear()
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event triggers (or now if it has)."""
         if self.triggered:
-            self.sim._schedule(0.0, callback, self)
+            sim = self.sim
+            heappush(sim._heap, (sim.now, sim._seq, callback, self))
+            sim._seq += 1
         else:
             self._callbacks.append(callback)
 
@@ -64,13 +84,14 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        super().__init__(sim)
-        sim._schedule(delay, self._fire, None)
-
-    def _fire(self, _arg: Any) -> None:
-        self.succeed()
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"timeout delay must be finite and non-negative, got {delay}")
+        self.sim = sim
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
+        heappush(sim._heap, (sim.now + delay, sim._seq, self.succeed, None))
+        sim._seq += 1
 
 
 class AllOf(Event):
@@ -126,19 +147,22 @@ class Process(Event):
     so processes can wait on each other.
     """
 
-    __slots__ = ("_generator",)
+    __slots__ = ("_send", "_wake")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator) -> None:
-        super().__init__(sim)
-        self._generator = generator
-        sim._schedule(0.0, self._resume, _StartSentinel)
+        self.sim = sim
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
+        self._send = generator.send
+        self._wake = wake = self._resume
+        heappush(sim._heap, (sim.now, sim._seq, wake, _START))
+        sim._seq += 1
 
-    def _resume(self, arg: Any) -> None:
+    def _resume(self, event: Any) -> None:
+        # Sending None to a fresh generator starts it, like next().
         try:
-            if arg is _StartSentinel:
-                target = next(self._generator)
-            else:
-                target = self._generator.send(arg.value)
+            target = self._send(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -146,14 +170,22 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event instances"
             )
-        target.add_callback(self._resume)
+        if target.triggered:
+            sim = self.sim
+            heappush(sim._heap, (sim.now, sim._seq, self._wake, target))
+            sim._seq += 1
+        else:
+            target._callbacks.append(self._wake)
 
 
-class _StartSentinelType:
-    """Marker distinguishing the initial resume from event callbacks."""
+class _Start:
+    """The argument of a process's first resume: sends ``None``."""
+
+    __slots__ = ()
+    value = None
 
 
-_StartSentinel = _StartSentinelType()
+_START = _Start()
 
 
 #: Optional per-event dispatch hook (installed by :mod:`repro.obs.profile`).
@@ -178,7 +210,7 @@ def set_event_hook(
 def event_kind(callback: Callable[[Any], None]) -> str:
     """The event-type name a dispatch callback belongs to.
 
-    Heap callbacks are bound methods of kernel objects (``Timeout._fire``,
+    Heap callbacks are bound methods of kernel objects (``Timeout.succeed``,
     ``Process._resume``, ``Event``-callback closures from user code), so
     the owner's class name is the natural per-event-type key the hot-spot
     counters aggregate on.
@@ -210,10 +242,6 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
 
-    def _schedule(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, arg))
-        self._seq += 1
-
     def timeout(self, delay: float) -> Timeout:
         """An event triggering ``delay`` seconds from now."""
         return Timeout(self, delay)
@@ -239,15 +267,18 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        while self._heap:
-            time, _seq, callback, arg = self._heap[0]
-            if until is not None and time > until:
+        heap = self._heap
+        limit = _INF if until is None else until
+        now = self.now
+        while heap:
+            if heap[0][0] > limit:
                 self.now = until
-                return self.now
-            heapq.heappop(self._heap)
-            if time < self.now - 1e-12:
+                return until
+            time, _seq, callback, arg = heappop(heap)
+            if time > now:
+                self.now = now = time
+            elif time < now - 1e-12:
                 raise SimulationError("event scheduled in the past")
-            self.now = max(self.now, time)
             if _event_hook is None:
                 callback(arg)
             else:
