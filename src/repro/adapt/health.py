@@ -216,10 +216,10 @@ def ssd_effective_bandwidth(
 ) -> tuple[float, float] | None:
     """``(bytes_moved, busy_seconds)`` of real transfers on ``resource``.
 
-    Fault markers (``fault_bw_sag`` windows, dropout ticks) are recorded
-    with ``amount == 0`` and would otherwise inflate busy time, so only
-    intervals that actually carried bytes count.  Returns ``None`` when
-    the resource moved nothing in the window.
+    Fault markers (``fault_stall`` windows, sag and dropout ticks) carry
+    ``amount == 0``; a stall window would otherwise count as busy time, so
+    only intervals that actually carried bytes count.  Returns ``None``
+    when the resource moved nothing in the window.
     """
     moved = 0.0
     busy = 0.0
