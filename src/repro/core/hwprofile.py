@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from repro.hardware.spec import ServerSpec
 
 
+_INF = float("inf")
+
+
 class ProfilingError(ValueError):
     """Raised when profiling inputs are inconsistent."""
 
@@ -44,14 +47,33 @@ class HardwareProfile:
     gpu_saturation_tokens: float = 4096.0
 
     def __post_init__(self) -> None:
-        if self.thp_gpu <= 0 or self.bw_gpu <= 0:
-            raise ProfilingError("GPU throughput and PCIe bandwidth must be positive")
-        if self.bw_s2m < 0 or self.bw_m2s < 0:
-            raise ProfilingError("SSD bandwidths cannot be negative")
-        if self.mem_avail_main < 0:
-            raise ProfilingError("available main memory cannot be negative")
-        if self.cpu_adam_params_per_s <= 0:
-            raise ProfilingError("CPU Adam throughput must be positive")
+        # Chained comparisons are false for NaN, so each check rejects it too.
+        if not (0 < self.thp_gpu < _INF and 0 < self.bw_gpu < _INF):
+            raise ProfilingError(
+                "GPU throughput and PCIe bandwidth must be finite and positive, "
+                f"got {self.thp_gpu} and {self.bw_gpu}"
+            )
+        if not (0 <= self.bw_s2m < _INF and 0 <= self.bw_m2s < _INF):
+            raise ProfilingError(
+                "SSD bandwidths must be finite and non-negative, "
+                f"got {self.bw_s2m} and {self.bw_m2s}"
+            )
+        # +inf is an unbounded activation budget (the cpuact variant's).
+        if not 0 <= self.mem_avail_main <= _INF:
+            raise ProfilingError(
+                f"available main memory must be non-negative, got {self.mem_avail_main}"
+            )
+        if not 0 < self.cpu_adam_params_per_s < _INF:
+            raise ProfilingError(
+                "CPU Adam throughput must be finite and positive, "
+                f"got {self.cpu_adam_params_per_s}"
+            )
+        # 0 means kernels run at full occupancy from the first token.
+        if not 0 <= self.gpu_saturation_tokens < _INF:
+            raise ProfilingError(
+                "GPU saturation tokens must be finite and non-negative, "
+                f"got {self.gpu_saturation_tokens}"
+            )
 
 
 def profile_hardware(
@@ -65,8 +87,10 @@ def profile_hardware(
     already exceeds usable DRAM is infeasible — callers detect that via
     the capacity planner, so here the activation budget just clamps at 0.
     """
-    if main_memory_overhead < 0:
-        raise ProfilingError("main memory overhead cannot be negative")
+    if not main_memory_overhead >= 0:
+        raise ProfilingError(
+            f"main memory overhead must be non-negative, got {main_memory_overhead}"
+        )
     available = max(0.0, server.usable_main_memory_bytes - main_memory_overhead)
     return HardwareProfile(
         thp_gpu=server.gpu.peak_fp16_flops,
