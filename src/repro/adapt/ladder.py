@@ -16,7 +16,7 @@ rung  name             what it gives up
 ====  ===============  ====================================================
 
 Every rung compiles to a full :class:`~repro.core.schedule.IterationSchedule`
-via the same machinery as :class:`~repro.core.ratel.RatelPolicy.compile`,
+through :meth:`RatelPolicy.schedule_for <repro.core.policy.SplitPolicy.schedule_for>`,
 so a swapped-in plan is indistinguishable from a planned-from-scratch one
 to the sim engine and the runtime.  Rung comparisons use
 seconds-per-*token*, not raw iteration time, so the micro-batch rungs
@@ -33,17 +33,9 @@ from repro.models.profile import ModelProfile, profile_model
 from repro.core.activation_swap import plan_activation_swapping
 from repro.core.hwprofile import HardwareProfile
 from repro.core.iteration_model import IterationEstimate, IterationTimeModel
-from repro.core.memory_model import (
-    ResourceNeeds,
-    active_offload_main_overhead,
-    gpu_working_set,
-)
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from repro.core.policy import ratel_needs
+from repro.core.ratel import RatelPolicy
+from repro.core.schedule import IterationSchedule, OptimizerMode
 
 from .health import AdaptError
 
@@ -131,10 +123,10 @@ def compile_rung(
 ) -> RungPlan:
     """Compile one ladder rung into a runnable schedule.
 
-    Mirrors :meth:`RatelPolicy.compile` but parameterised by the rung's
-    knobs: the micro-batch is rescaled first, then ``A_G2M`` comes from
-    the floor or from Algorithm 1, then an explicit spill share shrinks
-    ``mem_avail_main`` so the overflow lands on the SSD array.
+    Ratel's schedule for the split the rung's knobs pick: the micro-batch
+    is rescaled first, then ``A_G2M`` comes from the floor or from
+    Algorithm 1, then an explicit spill share shrinks ``mem_avail_main``
+    so the overflow lands on the SSD array.
     """
     if rung.batch_scale != 1.0:
         batch = max(1, round(profile.batch_size * rung.batch_scale))
@@ -152,19 +144,13 @@ def compile_rung(
         model = IterationTimeModel(profile, hardware)
 
     estimate = model.estimate(a_g2m)
-    blocks = build_blocks(
-        profile,
-        act_to_main_total=a_g2m - estimate.a_to_ssd,
-        act_to_ssd_total=estimate.a_to_ssd,
-        recompute_flops_total=estimate.recompute_flops,
+    schedule = RatelPolicy().schedule_for(
+        profile, a_g2m - estimate.a_to_ssd, estimate.a_to_ssd, estimate.recompute_flops
     )
-    schedule = IterationSchedule(
+    schedule = replace(
+        schedule,
         name=f"{name} [{rung.name}]",
-        model=profile,
-        blocks=blocks,
-        states_location=StatesLocation.SSD,
-        optimizer_mode=rung.optimizer_mode or OptimizerMode.ACTIVE_OPTIMIZED,
-        prefetch_depth=3,
+        optimizer_mode=rung.optimizer_mode or schedule.optimizer_mode,
     )
     return RungPlan(
         rung=rung,
@@ -179,14 +165,7 @@ def compile_rung(
 def rung_shortfalls(plan: RungPlan, server: ServerSpec) -> dict[str, float]:
     """Bytes missing per memory tier for this rung (empty when feasible).
 
-    Same accounting as :meth:`RatelPolicy.memory_needs`: the GPU working
-    set, the active-offload pipeline's main-memory overhead plus the
-    main-resident swap share, and the model states plus SSD spill.
+    Same accounting as :meth:`RatelPolicy.memory_needs`
+    (:func:`~repro.core.policy.ratel_needs`).
     """
-    profile = plan.profile
-    needs = ResourceNeeds(
-        gpu_bytes=gpu_working_set(profile),
-        main_bytes=active_offload_main_overhead(profile) + plan.a_to_main,
-        ssd_bytes=profile.states.total + plan.a_to_ssd,
-    )
-    return needs.shortfalls(server)
+    return ratel_needs(plan.profile, plan.a_to_main, plan.a_to_ssd).shortfalls(server)

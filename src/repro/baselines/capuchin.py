@@ -19,21 +19,11 @@ from repro.hardware.spec import ServerSpec
 from repro.models.profile import ModelProfile
 
 from repro.core.hwprofile import profile_hardware
-from repro.core.memory_model import (
-    ResourceNeeds,
-    active_offload_main_overhead,
-    gpu_working_set,
-)
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from repro.core.memory_model import active_offload_main_overhead
+from repro.core.policy import SplitPolicy
 
 
-class CapuchinPolicy(OffloadPolicy):
+class CapuchinPolicy(SplitPolicy):
     """Ratel's engine driven by Capuchin's swap/recompute decisions."""
 
     name = "Ratel+Cap"
@@ -49,8 +39,7 @@ class CapuchinPolicy(OffloadPolicy):
         objective ``max(T_gpu_bwd(A), T_pcie(A))`` — no SSD, no optimizer
         traffic in view — then clamps to what main memory can hold.
         """
-        overhead = active_offload_main_overhead(profile)
-        hw = profile_hardware(server, main_memory_overhead=overhead)
+        hw = profile_hardware(server, main_memory_overhead=active_offload_main_overhead(profile))
         floor = profile.inter_block_bytes
         best_a, best_t = floor, float("inf")
         a = 0.0
@@ -68,27 +57,8 @@ class CapuchinPolicy(OffloadPolicy):
                 best_a = a
         return min(best_a, max(floor, hw.mem_avail_main))
 
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        overhead = active_offload_main_overhead(profile)
-        return ResourceNeeds(
-            gpu_bytes=gpu_working_set(profile),
-            main_bytes=overhead + self.plan_swap_bytes(profile, server),
-            ssd_bytes=profile.states.total,
-        )
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
         a_g2m = self.plan_swap_bytes(profile, server)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=a_g2m,
-            act_to_ssd_total=0.0,
-            recompute_flops_total=profile.recompute_flops_for(a_g2m),
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=OptimizerMode.ACTIVE_OPTIMIZED,
-            prefetch_depth=3,
-        )
+        return a_g2m, 0.0, profile.recompute_flops_for(a_g2m)

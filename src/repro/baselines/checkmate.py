@@ -25,18 +25,8 @@ from repro.hardware.spec import ServerSpec
 from repro.models.profile import ModelProfile
 
 from repro.core.hwprofile import profile_hardware
-from repro.core.memory_model import (
-    ResourceNeeds,
-    active_offload_main_overhead,
-    gpu_working_set,
-)
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from repro.core.memory_model import active_offload_main_overhead
+from repro.core.policy import SplitPolicy
 
 
 #: Minimum main-memory activation budget under which the MILP at
@@ -47,7 +37,7 @@ from repro.core.schedule import (
 MIN_SOLVER_BUDGET_BYTES = 24e9
 
 
-class CheckmatePolicy(OffloadPolicy):
+class CheckmatePolicy(SplitPolicy):
     """Ratel's engine driven by Checkmate's MILP-optimal offload plan."""
 
     name = "Ratel+CM"
@@ -63,8 +53,7 @@ class CheckmatePolicy(OffloadPolicy):
         inadequate budget (< inter-block floor) surfaces as an infeasible
         :meth:`memory_needs`, the planner's "Failed" case.
         """
-        overhead = active_offload_main_overhead(profile)
-        hw = profile_hardware(server, main_memory_overhead=overhead)
+        hw = profile_hardware(server, main_memory_overhead=active_offload_main_overhead(profile))
         floor = profile.inter_block_bytes
         budget = hw.mem_avail_main
         if budget < max(floor, MIN_SOLVER_BUDGET_BYTES):
@@ -75,27 +64,8 @@ class CheckmatePolicy(OffloadPolicy):
             return max(floor, MIN_SOLVER_BUDGET_BYTES)
         return min(profile.activation_bytes_total, budget)
 
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        overhead = active_offload_main_overhead(profile)
-        return ResourceNeeds(
-            gpu_bytes=gpu_working_set(profile),
-            main_bytes=overhead + self.plan_swap_bytes(profile, server),
-            ssd_bytes=profile.states.total,
-        )
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
         a_g2m = self.plan_swap_bytes(profile, server)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=a_g2m,
-            act_to_ssd_total=0.0,
-            recompute_flops_total=profile.recompute_flops_for(a_g2m),
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=OptimizerMode.ACTIVE_OPTIMIZED,
-            prefetch_depth=3,
-        )
+        return a_g2m, 0.0, profile.recompute_flops_for(a_g2m)

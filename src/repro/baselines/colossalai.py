@@ -22,23 +22,19 @@ from repro.core.memory_model import (
     ResourceNeeds,
     gpu_working_set,
 )
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
-
-SYNC_OVERHEAD_PER_BLOCK = 0.45
-SSD_EFFICIENCY = 0.4
-PCIE_EFFICIENCY = 0.6
+from repro.core.policy import SplitPolicy
+from repro.core.schedule import OptimizerMode
 
 
-class ColossalAIPolicy(OffloadPolicy):
+class ColossalAIPolicy(SplitPolicy):
     """Colossal-AI with the Gemini chunk manager on NVMe."""
 
     name = "Colossal-AI"
+    optimizer_mode = OptimizerMode.DEFERRED_CPU_SERIAL
+    prefetch_depth = 1
+    sync_overhead_per_block = 0.45
+    ssd_efficiency = 0.4
+    pcie_efficiency = 0.6
 
     def supported_on(self, server: ServerSpec) -> bool:
         """Gemini's NVMe tier needs an SSD array."""
@@ -52,24 +48,9 @@ class ColossalAIPolicy(OffloadPolicy):
             ssd_bytes=profile.states.total,
         )
 
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
         # Checkpoints never leave the GPU: nothing is swapped, everything
         # intra-block is recomputed.
-        recompute = profile.recompute_flops_for(profile.inter_block_bytes)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=0.0,
-            act_to_ssd_total=0.0,
-            recompute_flops_total=recompute,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=OptimizerMode.DEFERRED_CPU_SERIAL,
-            prefetch_depth=1,
-            sync_overhead_per_block=SYNC_OVERHEAD_PER_BLOCK,
-            ssd_efficiency=SSD_EFFICIENCY,
-            pcie_efficiency=PCIE_EFFICIENCY,
-        )
+        return 0.0, 0.0, profile.recompute_flops_for(profile.inter_block_bytes)

@@ -16,10 +16,11 @@ main memory (and therefore needs ~16 bytes/param of DRAM but no SSDs).
 
 Calibrated constants (documented in DESIGN.md §4/§5):
 
-* ``SYNC_OVERHEAD_PER_BLOCK`` = 0.21 s reproduces the Fig. 1a stage
+* ``sync_overhead_per_block`` = 0.21 s reproduces the Fig. 1a stage
   stretch (forward 14 s, backward 26 s for 13B/bs32 on the 4090);
-* ``SSD_EFFICIENCY`` = 0.5: DeepSpeed's aio engine sustains about half
-  the array's line rate, which yields the 23 s optimizer stage.
+* ZeRO-Infinity's ``ssd_efficiency`` = 0.5: DeepSpeed's aio engine
+  sustains about half the array's line rate, which yields the 23 s
+  optimizer stage.
 """
 
 from __future__ import annotations
@@ -33,52 +34,30 @@ from repro.core.memory_model import (
     ResourceNeeds,
     gpu_working_set,
 )
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
-
-SYNC_OVERHEAD_PER_BLOCK = 0.21
-SSD_EFFICIENCY = 0.5
-PCIE_EFFICIENCY = 0.8
+from repro.core.policy import SplitPolicy
+from repro.core.schedule import OptimizerMode, StatesLocation
 
 
-def _interblock_schedule(
-    name: str,
-    profile: ModelProfile,
-    states_location: StatesLocation,
-    *,
-    ssd_efficiency: float = SSD_EFFICIENCY,
-    sync_overhead: float = SYNC_OVERHEAD_PER_BLOCK,
-) -> IterationSchedule:
+class _ZeroFamily(SplitPolicy):
     """The ZeRO-family static activation plan: boundaries to host, rest recomputed."""
-    recompute = profile.recompute_flops_for(profile.inter_block_bytes)
-    blocks = build_blocks(
-        profile,
-        act_to_main_total=profile.inter_block_bytes,
-        act_to_ssd_total=0.0,
-        recompute_flops_total=recompute,
-    )
-    return IterationSchedule(
-        name=name,
-        model=profile,
-        blocks=blocks,
-        states_location=states_location,
-        optimizer_mode=OptimizerMode.DEFERRED_CPU,
-        prefetch_depth=1,
-        sync_overhead_per_block=sync_overhead,
-        ssd_efficiency=ssd_efficiency,
-        pcie_efficiency=PCIE_EFFICIENCY,
-    )
+
+    optimizer_mode = OptimizerMode.DEFERRED_CPU
+    prefetch_depth = 1
+    sync_overhead_per_block = 0.21
+    pcie_efficiency = 0.8
+
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
+        boundaries = profile.inter_block_bytes
+        return boundaries, 0.0, profile.recompute_flops_for(boundaries)
 
 
-class ZeroInfinityPolicy(OffloadPolicy):
+class ZeroInfinityPolicy(_ZeroFamily):
     """ZeRO-Infinity: model states on NVMe, optimizer as a serial stage."""
 
     name = "ZeRO-Infinity"
+    ssd_efficiency = 0.5
 
     def supported_on(self, server: ServerSpec) -> bool:
         """Needs an SSD array for the model states."""
@@ -96,14 +75,12 @@ class ZeroInfinityPolicy(OffloadPolicy):
             ssd_bytes=profile.states.total,
         )
 
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        return _interblock_schedule(self.name, profile, StatesLocation.SSD)
 
-
-class ZeroOffloadPolicy(OffloadPolicy):
+class ZeroOffloadPolicy(_ZeroFamily):
     """ZeRO-Offload: model states in main memory; no SSD involvement."""
 
     name = "ZeRO-Offload"
+    states_location = StatesLocation.MAIN
 
     def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
         host = (
@@ -115,9 +92,4 @@ class ZeroOffloadPolicy(OffloadPolicy):
             gpu_bytes=gpu_working_set(profile),
             main_bytes=host,
             ssd_bytes=0.0,
-        )
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        return _interblock_schedule(
-            self.name, profile, StatesLocation.MAIN, ssd_efficiency=1.0
         )

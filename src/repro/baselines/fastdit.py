@@ -15,22 +15,20 @@ from repro.hardware.units import GB
 from repro.models.profile import ModelProfile
 
 from repro.core.memory_model import ResourceNeeds
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from repro.core.policy import SplitPolicy
+from repro.core.schedule import OptimizerMode, StatesLocation
 
 #: cuDNN/cuBLAS workspaces and the training loop's transient buffers.
 WORKSPACE_BYTES = 1 * GB
 
 
-class FastDiTPolicy(OffloadPolicy):
+class FastDiTPolicy(SplitPolicy):
     """Everything-in-GPU DiT training."""
 
     name = "Fast-DiT"
+    states_location = StatesLocation.GPU
+    optimizer_mode = OptimizerMode.DEFERRED_GPU
+    prefetch_depth = 1
 
     def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
         gpu = (
@@ -40,19 +38,7 @@ class FastDiTPolicy(OffloadPolicy):
         )
         return ResourceNeeds(gpu_bytes=gpu, main_bytes=0.0, ssd_bytes=0.0)
 
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=0.0,
-            act_to_ssd_total=0.0,
-            recompute_flops_total=0.0,
-            states_offloaded=False,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.GPU,
-            optimizer_mode=OptimizerMode.DEFERRED_GPU,
-            prefetch_depth=1,
-        )
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
+        return 0.0, 0.0, 0.0

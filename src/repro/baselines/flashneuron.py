@@ -20,22 +20,20 @@ from repro.hardware.units import GB
 from repro.models.profile import ModelProfile
 
 from repro.core.memory_model import ResourceNeeds, gpu_working_set
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from repro.core.policy import SplitPolicy
+from repro.core.schedule import OptimizerMode, StatesLocation
 
 #: Host-side staging for the POSIX-path activation bounce buffers.
 STAGING_BYTES = 4 * GB
 
 
-class FlashNeuronPolicy(OffloadPolicy):
+class FlashNeuronPolicy(SplitPolicy):
     """Activations to SSD, model states resident on the GPU."""
 
     name = "FlashNeuron"
+    states_location = StatesLocation.GPU
+    optimizer_mode = OptimizerMode.DEFERRED_GPU
+    prefetch_depth = 2
 
     def supported_on(self, server: ServerSpec) -> bool:
         """Needs an SSD array for the activations."""
@@ -48,21 +46,8 @@ class FlashNeuronPolicy(OffloadPolicy):
             ssd_bytes=profile.activation_bytes_total,
         )
 
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
         # All activations stream to the SSDs; nothing is recomputed.
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=0.0,
-            act_to_ssd_total=profile.activation_bytes_total,
-            recompute_flops_total=0.0,
-            states_offloaded=False,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.GPU,
-            optimizer_mode=OptimizerMode.DEFERRED_GPU,
-            prefetch_depth=2,
-            sync_overhead_per_block=0.0,
-        )
+        return 0.0, profile.activation_bytes_total, 0.0

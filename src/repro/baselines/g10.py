@@ -22,20 +22,19 @@ from repro.hardware.units import GB
 from repro.models.profile import ModelProfile
 
 from repro.core.hwprofile import profile_hardware
-from repro.core.memory_model import ResourceNeeds, gpu_working_set
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
+from repro.core.memory_model import (
+    ResourceNeeds,
+    active_offload_main_overhead,
+    gpu_working_set,
 )
+from repro.core.policy import SplitPolicy
+from repro.core.schedule import OptimizerMode
 
 #: Host pool bookkeeping for the unified-memory runtime.
 POOL_BASE_BYTES = 8 * GB
 
 
-class G10ActivationPolicy(OffloadPolicy):
+class G10ActivationPolicy(SplitPolicy):
     """"Ratel+G10" (§V-E): G10's activation plan on Ratel's state engine.
 
     G10 ranks tensors by inactive time; on a transformer chain, every
@@ -52,49 +51,20 @@ class G10ActivationPolicy(OffloadPolicy):
         """Model states and activation overflow live on the SSD array."""
         return server.n_ssds >= 1
 
-    def _activation_split(
+    def activation_split(
         self, profile: ModelProfile, server: ServerSpec
-    ) -> tuple[float, float]:
-        from repro.core.memory_model import active_offload_main_overhead
-
-        overhead = active_offload_main_overhead(profile)
-        hw = profile_hardware(server, main_memory_overhead=overhead)
-        total = profile.activation_bytes_total
-        to_main = min(total, hw.mem_avail_main)
-        return to_main, total - to_main
-
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        from repro.core.memory_model import active_offload_main_overhead
-
-        to_main, to_ssd = self._activation_split(profile, server)
-        return ResourceNeeds(
-            gpu_bytes=gpu_working_set(profile),
-            main_bytes=active_offload_main_overhead(profile) + to_main,
-            ssd_bytes=profile.states.total + to_ssd,
-        )
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        to_main, to_ssd = self._activation_split(profile, server)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=to_main,
-            act_to_ssd_total=to_ssd,
-            recompute_flops_total=0.0,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=OptimizerMode.ACTIVE_OPTIMIZED,
-            prefetch_depth=3,
-        )
+    ) -> tuple[float, float, float]:
+        hw = profile_hardware(server, main_memory_overhead=active_offload_main_overhead(profile))
+        to_main = min(profile.activation_bytes_total, hw.mem_avail_main)
+        return to_main, profile.activation_bytes_total - to_main, 0.0
 
 
-class G10Policy(OffloadPolicy):
+class G10Policy(SplitPolicy):
     """Unified main/NVMe tensor pool with a GPU-resident optimizer."""
 
     name = "G10"
+    optimizer_mode = OptimizerMode.DEFERRED_GPU
+    use_gpudirect = True
 
     def __init__(self, assume_gpudirect: bool = False) -> None:
         self.assume_gpudirect = assume_gpudirect
@@ -105,38 +75,18 @@ class G10Policy(OffloadPolicy):
             return False
         return server.gpu.supports_gpudirect or self.assume_gpudirect
 
-    def _activation_split(
+    def activation_split(
         self, profile: ModelProfile, server: ServerSpec
-    ) -> tuple[float, float]:
-        """All activations offload; main memory first, SSD overflow."""
+    ) -> tuple[float, float, float]:
+        """All activations offload; main memory first, SSD overflow, no recompute."""
         hw = profile_hardware(server, main_memory_overhead=POOL_BASE_BYTES)
-        total = profile.activation_bytes_total
-        to_main = min(total, hw.mem_avail_main)
-        return to_main, total - to_main
+        to_main = min(profile.activation_bytes_total, hw.mem_avail_main)
+        return to_main, profile.activation_bytes_total - to_main, 0.0
 
     def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        to_main, to_ssd = self._activation_split(profile, server)
+        to_main, to_ssd, _ = self.activation_split(profile, server)
         return ResourceNeeds(
             gpu_bytes=gpu_working_set(profile),
             main_bytes=POOL_BASE_BYTES + to_main,
             ssd_bytes=profile.states.total + to_ssd,
-        )
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        to_main, to_ssd = self._activation_split(profile, server)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=to_main,
-            act_to_ssd_total=to_ssd,
-            recompute_flops_total=0.0,  # G10 does not recompute
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=OptimizerMode.DEFERRED_GPU,
-            prefetch_depth=3,
-            sync_overhead_per_block=0.0,
-            use_gpudirect=True,
         )

@@ -25,23 +25,21 @@ from repro.models.profile import ModelProfile
 
 from repro.core.engine import IterationResult, run_iteration
 from repro.core.memory_model import ACT_LIVE_FRACTION, ResourceNeeds
-from repro.core.policy import OffloadPolicy
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from repro.core.policy import SplitPolicy
+from repro.core.schedule import OptimizerMode, StatesLocation
 
 #: Fraction of aggregate peak FLOPs tensor parallelism sustains (MFU
 #: including all-reduce stalls), calibrated against Fig. 13.
 TP_EFFICIENCY = 0.42
 
 
-class MegatronPolicy(OffloadPolicy):
+class MegatronPolicy(SplitPolicy):
     """Tensor-parallel in-memory training across one server's GPUs."""
 
     name = "Megatron-LM"
+    states_location = StatesLocation.GPU
+    optimizer_mode = OptimizerMode.DEFERRED_GPU
+    prefetch_depth = 1
 
     def __init__(self, tp_efficiency: float = TP_EFFICIENCY) -> None:
         if not 0 < tp_efficiency <= 1:
@@ -63,23 +61,10 @@ class MegatronPolicy(OffloadPolicy):
         ) / n
         return ResourceNeeds(gpu_bytes=shard, main_bytes=0.0, ssd_bytes=0.0)
 
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        recompute = profile.recompute_flops_for(profile.inter_block_bytes)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=0.0,
-            act_to_ssd_total=0.0,
-            recompute_flops_total=recompute,
-            states_offloaded=False,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.GPU,
-            optimizer_mode=OptimizerMode.DEFERRED_GPU,
-            prefetch_depth=1,
-        )
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
+        return 0.0, 0.0, profile.recompute_flops_for(profile.inter_block_bytes)
 
     def aggregate_server(self, server: ServerSpec) -> ServerSpec:
         """Fold the server's GPUs into one tensor-parallel virtual device."""

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 from repro.core.memory_model import ResourceNeeds
 from repro.core.ratel import RatelPolicy
-from repro.core.schedule import IterationSchedule, OptimizerMode
+from repro.core.schedule import OptimizerMode
 from repro.hardware.spec import ServerSpec
 from repro.models.profile import ModelProfile
 
@@ -41,6 +41,8 @@ DEFAULT_CRITICAL_FRAC = 0.25
 
 class ZenFlowPolicy(RatelPolicy):
     """Ratel's plan with ZenFlow-style bounded-staleness async updates."""
+
+    optimizer_mode = OptimizerMode.ASYNC_BOUNDED
 
     def __init__(
         self,
@@ -63,18 +65,11 @@ class ZenFlowPolicy(RatelPolicy):
         # Deferred fp16 gradients accumulate host-side until applied.
         return replace(needs, main_bytes=needs.main_bytes + 2.0 * profile.n_params)
 
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        return replace(
-            super().compile(profile, server),
-            name=self.name,
-            optimizer_mode=OptimizerMode.ASYNC_BOUNDED,
-            stale_k=self.stale_k,
-            critical_frac=self.critical_frac,
-        )
-
 
 class GreedySnakePolicy(RatelPolicy):
     """Ratel's plan with GreedySnake-style optimizer/next-forward overlap."""
+
+    optimizer_mode = OptimizerMode.OVERLAP_STEP
 
     def __init__(self) -> None:
         super().__init__("optimized")
@@ -84,13 +79,6 @@ class GreedySnakePolicy(RatelPolicy):
         needs = super().memory_needs(profile, server)
         # One step's fp16 gradients wait host-side for the next forward.
         return replace(needs, main_bytes=needs.main_bytes + 2.0 * profile.n_params)
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        return replace(
-            super().compile(profile, server),
-            name=self.name,
-            optimizer_mode=OptimizerMode.OVERLAP_STEP,
-        )
 
 
 def policy_for_mode(mode: str, *, stale_k: int | None = None) -> RatelPolicy:

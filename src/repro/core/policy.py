@@ -6,6 +6,12 @@ tier, and (b) compiles an :class:`~repro.core.schedule.IterationSchedule`
 for the discrete-event engine.  The capacity planner and all experiment
 harnesses work purely against this interface.
 
+Every system in the reproduction builds its schedule the same way, so
+they all derive from :class:`SplitPolicy`: a system declares only its
+activation split (bytes swapped to main memory, bytes to SSD, recompute
+FLOPs) plus class-level schedule constants, and the one
+:meth:`SplitPolicy.compile` spreads the split over the blocks.
+
 :meth:`OffloadPolicy.evaluate` is the preferred entry point for
 experiment code: it answers feasibility, planning and simulation in one
 pass and returns a single :class:`~repro.core.evaluation.EvalOutcome`.
@@ -24,8 +30,13 @@ from repro.models.profile import ModelProfile
 
 from .engine import IterationResult, run_iteration
 from .evaluation import EvalOutcome, PlanSummary, collect_metrics
-from .memory_model import InfeasibleError, ResourceNeeds
-from .schedule import IterationSchedule
+from .memory_model import (
+    InfeasibleError,
+    ResourceNeeds,
+    active_offload_main_overhead,
+    gpu_working_set,
+)
+from .schedule import IterationSchedule, OptimizerMode, StatesLocation, build_blocks
 
 
 class OffloadPolicy(abc.ABC):
@@ -148,3 +159,78 @@ class OffloadPolicy(abc.ABC):
                 f"(batch {profile.batch_size}) on {server.name!r}: {detail}"
             )
         return None
+
+
+def ratel_needs(profile: ModelProfile, to_main: float, to_ssd: float) -> ResourceNeeds:
+    """Ratel's engine accounting for an activation split.
+
+    The GPU streaming working set; the active-offload pipeline's
+    main-memory window plus the main-resident activations; the model
+    states plus the activations that continue to the SSD array.
+    """
+    return ResourceNeeds(
+        gpu_bytes=gpu_working_set(profile),
+        main_bytes=active_offload_main_overhead(profile) + to_main,
+        ssd_bytes=profile.states.total + to_ssd,
+    )
+
+
+class SplitPolicy(OffloadPolicy):
+    """A system on the shared engine, told apart by its activation split.
+
+    Subclasses implement :meth:`activation_split` and override the
+    class-level schedule constants below (class attributes or
+    properties, so they stay out of the runner's content keys).
+    :meth:`memory_needs` is Ratel's engine accounting
+    (:func:`ratel_needs`); systems that keep model states elsewhere, or
+    stage extra host buffers, override it.
+    """
+
+    states_location: StatesLocation = StatesLocation.SSD
+    optimizer_mode: OptimizerMode = OptimizerMode.ACTIVE_OPTIMIZED
+    prefetch_depth: int = 3
+    sync_overhead_per_block: float = 0.0
+    use_gpudirect: bool = False
+    ssd_efficiency: float = 1.0
+    pcie_efficiency: float = 1.0
+    stale_k: int = 0
+    critical_frac: float = 0.0
+
+    @abc.abstractmethod
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
+        """(bytes swapped to main memory, bytes to SSD, recompute FLOPs)."""
+
+    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
+        to_main, to_ssd, _ = self.activation_split(profile, server)
+        return ratel_needs(profile, to_main, to_ssd)
+
+    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
+        return self.schedule_for(profile, *self.activation_split(profile, server))
+
+    def schedule_for(
+        self, profile: ModelProfile, to_main: float, to_ssd: float, recompute_flops: float
+    ) -> IterationSchedule:
+        """This system's schedule for an explicit activation split."""
+        blocks = build_blocks(
+            profile,
+            act_to_main_total=to_main,
+            act_to_ssd_total=to_ssd,
+            recompute_flops_total=recompute_flops,
+            states_offloaded=self.states_location is not StatesLocation.GPU,
+        )
+        return IterationSchedule(
+            name=self.name,
+            model=profile,
+            blocks=blocks,
+            states_location=self.states_location,
+            optimizer_mode=self.optimizer_mode,
+            prefetch_depth=self.prefetch_depth,
+            sync_overhead_per_block=self.sync_overhead_per_block,
+            use_gpudirect=self.use_gpudirect,
+            ssd_efficiency=self.ssd_efficiency,
+            pcie_efficiency=self.pcie_efficiency,
+            stale_k=self.stale_k,
+            critical_frac=self.critical_frac,
+        )

@@ -21,18 +21,9 @@ from repro.models.profile import ModelProfile
 from .activation_swap import SwapPlan, plan_activation_swapping
 from .hwprofile import HardwareProfile, profile_hardware
 from .iteration_model import IterationTimeModel
-from .memory_model import (
-    ResourceNeeds,
-    active_offload_main_overhead,
-    gpu_working_set,
-)
-from .policy import OffloadPolicy
-from .schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
+from .memory_model import active_offload_main_overhead
+from .policy import SplitPolicy
+from .schedule import OptimizerMode
 
 _VARIANT_NAMES = {
     "optimized": "Ratel",
@@ -49,7 +40,7 @@ _VARIANT_OPTIMIZER = {
 }
 
 
-class RatelPolicy(OffloadPolicy):
+class RatelPolicy(SplitPolicy):
     """Holistic data-movement management on a single consumer GPU."""
 
     def __init__(self, variant: str = "optimized") -> None:
@@ -64,6 +55,11 @@ class RatelPolicy(OffloadPolicy):
         #: and the outcome summary; without this memo each point would
         #: re-run the planner three times.
         self._plan_cache: dict = {}
+
+    @property
+    def optimizer_mode(self) -> OptimizerMode:
+        """How this variant runs the optimizer (active offloading by default)."""
+        return _VARIANT_OPTIMIZER[self.variant]
 
     def supported_on(self, server: ServerSpec) -> bool:
         """Ratel offloads model states to NVMe, so it needs an SSD array."""
@@ -101,31 +97,9 @@ class RatelPolicy(OffloadPolicy):
         self._plan_cache[key] = plan
         return plan
 
-    # -- policy interface -------------------------------------------------------
-
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
+    def activation_split(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[float, float, float]:
+        """Algorithm 1's main/SSD split and the recomputation it leaves."""
         plan = self.plan(profile, server)
-        overhead = active_offload_main_overhead(profile)
-        return ResourceNeeds(
-            gpu_bytes=gpu_working_set(profile),
-            main_bytes=overhead + plan.a_to_main,
-            ssd_bytes=profile.states.total + plan.a_to_ssd,
-        )
-
-    def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
-        plan = self.plan(profile, server)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=plan.a_to_main,
-            act_to_ssd_total=plan.a_to_ssd,
-            recompute_flops_total=plan.estimate.recompute_flops,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=_VARIANT_OPTIMIZER[self.variant],
-            prefetch_depth=3,
-            sync_overhead_per_block=0.0,
-        )
+        return plan.a_to_main, plan.a_to_ssd, plan.estimate.recompute_flops

@@ -89,12 +89,6 @@ def star_quality(
     executes schedules across the A_G2M range (including A*) and we
     measure how much iteration time the prediction leaves on the table.
     """
-    from repro.core.schedule import (
-        IterationSchedule,
-        OptimizerMode,
-        StatesLocation,
-        build_blocks,
-    )
     from .engine import run_iteration
 
     policy = RatelPolicy()
@@ -107,19 +101,8 @@ def star_quality(
 
         def simulate_at(a_g2m: float) -> float:
             spill = model.a_to_ssd(a_g2m)
-            blocks = build_blocks(
-                profile,
-                act_to_main_total=a_g2m - spill,
-                act_to_ssd_total=spill,
-                recompute_flops_total=profile.recompute_flops_for(a_g2m),
-            )
-            schedule = IterationSchedule(
-                name="star-quality",
-                model=profile,
-                blocks=blocks,
-                states_location=StatesLocation.SSD,
-                optimizer_mode=OptimizerMode.ACTIVE_OPTIMIZED,
-                prefetch_depth=3,
+            schedule = policy.schedule_for(
+                profile, a_g2m - spill, spill, profile.recompute_flops_for(a_g2m)
             )
             return run_iteration(server, schedule).iteration_time
 

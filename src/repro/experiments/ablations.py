@@ -25,7 +25,7 @@ from dataclasses import replace
 
 from repro.analysis.report import ExperimentResult
 from repro.core import RatelPolicy
-from repro.core.memory_model import active_offload_main_overhead
+from repro.core.memory_model import ResourceNeeds, active_offload_main_overhead, gpu_working_set
 from repro.hardware import GiB, evaluation_server
 from repro.hardware.spec import gpu_occupancy
 from repro.models import llm, profile_model
@@ -37,8 +37,9 @@ from .common import default_sweep, evaluate_grid, evaluate_point
 class _TunedRatel(RatelPolicy):
     """Ratel with overridable schedule knobs (prefetch depth, SSD efficiency).
 
-    The knobs are public attributes, so two differently-tuned instances
-    get distinct cache keys in the runner.
+    A set knob shadows the class-level schedule constant as a public
+    instance attribute, so two differently-tuned instances get distinct
+    cache keys in the runner.
     """
 
     def __init__(
@@ -48,23 +49,14 @@ class _TunedRatel(RatelPolicy):
         ssd_efficiency: float | None = None,
     ) -> None:
         super().__init__("optimized")
-        self.prefetch_depth = prefetch_depth
-        self.ssd_efficiency = ssd_efficiency
         knobs = []
         if prefetch_depth is not None:
+            self.prefetch_depth = prefetch_depth
             knobs.append(f"depth={prefetch_depth}")
         if ssd_efficiency is not None:
+            self.ssd_efficiency = ssd_efficiency
             knobs.append(f"ssd_eff={ssd_efficiency}")
         self.name = f"Ratel({', '.join(knobs)})" if knobs else self.name
-
-    def compile(self, profile, server):
-        schedule = super().compile(profile, server)
-        overrides = {}
-        if self.prefetch_depth is not None:
-            overrides["prefetch_depth"] = self.prefetch_depth
-        if self.ssd_efficiency is not None:
-            overrides["ssd_efficiency"] = self.ssd_efficiency
-        return replace(schedule, **overrides) if overrides else schedule
 
 
 def run_prefetch_depth(batches=(8, 32)) -> ExperimentResult:
@@ -182,8 +174,6 @@ class _WindowedRatel(RatelPolicy):
         self.name = f"Ratel(w={window_blocks})"
 
     def memory_needs(self, profile, server):
-        from repro.core.memory_model import ResourceNeeds, gpu_working_set
-
         plan = self.plan(profile, server)
         overhead = active_offload_main_overhead(
             profile, window_blocks=self.window_blocks

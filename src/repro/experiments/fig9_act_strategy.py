@@ -28,18 +28,7 @@ from repro.core import (
     plan_activation_swapping,
     sweep_iteration_time,
 )
-from repro.core.schedule import (
-    IterationSchedule,
-    OptimizerMode,
-    StatesLocation,
-    build_blocks,
-)
-from repro.core.memory_model import (
-    ResourceNeeds,
-    active_offload_main_overhead,
-    gpu_working_set,
-)
-from repro.core.policy import OffloadPolicy
+from repro.core.policy import SplitPolicy
 from repro.hardware import GB, GiB, evaluation_server
 from repro.models import llm, profile_model
 
@@ -49,7 +38,7 @@ MEMORY_SWEEP_GB = (128, 256, 512)
 BATCH_CAP = 32
 
 
-class ZeroActivationPolicy(OffloadPolicy):
+class ZeroActivationPolicy(SplitPolicy):
     """"Ratel+ZeRO(act)": the static inter-block plan on Ratel's engine.
 
     This is Fig. 9a's "Ratel+ZeRO" bar (called Ratel+DS in Table V):
@@ -62,29 +51,9 @@ class ZeroActivationPolicy(OffloadPolicy):
     def supported_on(self, server) -> bool:
         return server.n_ssds >= 1
 
-    def memory_needs(self, profile, server) -> ResourceNeeds:
-        return ResourceNeeds(
-            gpu_bytes=gpu_working_set(profile),
-            main_bytes=active_offload_main_overhead(profile) + profile.inter_block_bytes,
-            ssd_bytes=profile.states.total,
-        )
-
-    def compile(self, profile, server) -> IterationSchedule:
-        recompute = profile.recompute_flops_for(profile.inter_block_bytes)
-        blocks = build_blocks(
-            profile,
-            act_to_main_total=profile.inter_block_bytes,
-            act_to_ssd_total=0.0,
-            recompute_flops_total=recompute,
-        )
-        return IterationSchedule(
-            name=self.name,
-            model=profile,
-            blocks=blocks,
-            states_location=StatesLocation.SSD,
-            optimizer_mode=OptimizerMode.ACTIVE_OPTIMIZED,
-            prefetch_depth=3,
-        )
+    def activation_split(self, profile, server) -> tuple[float, float, float]:
+        boundaries = profile.inter_block_bytes
+        return boundaries, 0.0, profile.recompute_flops_for(boundaries)
 
 
 STRATEGIES = (

@@ -5,7 +5,7 @@ batch, server) evaluation points through this package:
 
 * :class:`Sweep` — the orchestrator: content-keyed memoization
   (:class:`ResultCache`: in-memory LRU + optional on-disk JSON store
-  under ``.repro_cache/``), serial/thread/process fan-out with ordered
+  under ``.repro_cache/``), serial/process-pool fan-out with ordered
   results, and a progress hook.
 * :class:`SweepPoint` — one memoizable query (``evaluate``,
   ``max_trainable``, ``max_batch``, ``max_global_batch``,

@@ -11,7 +11,7 @@ Two layers share one content key space (:func:`repro.runner.keys.cache_key`):
 
 Disk writes are atomic (temp file + ``os.replace``); unreadable or
 version-mismatched entries count as misses and are discarded.  All
-bookkeeping is thread-safe, so one cache can back a thread-pool sweep.
+bookkeeping is thread-safe, so one cache can back concurrent callers.
 """
 
 from __future__ import annotations

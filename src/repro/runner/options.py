@@ -44,9 +44,8 @@ class RunOptions:
     #: Run the command's degradation drill (sweep postures, fleet faults).
     adapt: bool = False
     #: Stall-free optimizer engine mode (``sync``/``async``/``overlap``);
-    #: ``None`` keeps the session default.  Ratel-family policies in
-    #: sweeps/fleet swap to the matching sim policy, and runtimes built
-    #: under the session inherit it via ``ratel_init``.
+    #: ``None`` keeps synchronous Ratel.  Ratel-family policies in
+    #: sweeps/fleet swap to the matching sim policy.
     optimizer_mode: str | None = None
     #: Write-ahead journal every fleet scheduler transition to this path.
     journal: str | None = None
@@ -81,10 +80,6 @@ class RunOptions:
         """
         from repro import runner
 
-        if self.optimizer_mode is not None:
-            from repro.session import set_default_optimizer_mode
-
-            set_default_optimizer_mode(self.optimizer_mode)
         ledger = self.ledger if attach_ledger else None
         knobs = (self.jobs, self.cache_dir, self.retries, self.timeout, ledger)
         if all(value is None for value in knobs):

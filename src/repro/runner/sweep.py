@@ -15,7 +15,7 @@ Every point has a deterministic content key
 two-layer :class:`~repro.runner.cache.ResultCache` and grids fan out
 across a ``concurrent.futures`` pool with ordered result collection and
 a progress hook.  Process workers return the JSON payload (the full
-event trace stays in the worker); serial and thread execution keep live
+event trace stays in the worker); serial execution keeps live
 :class:`~repro.core.engine.IterationResult` objects in the memory layer.
 
 Long sweeps survive bad points: with ``retries``/``timeout`` set and
@@ -37,14 +37,12 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from repro.core.capacity import max_batch_size, max_trainable_params
 from repro.core.evaluation import EvalOutcome
@@ -64,7 +62,7 @@ from .keys import cache_key
 logger = logging.getLogger("repro.runner")
 
 #: Executor modes accepted by :class:`Sweep`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 class SweepError(ValueError):
@@ -343,8 +341,7 @@ class Sweep:
     """Cached, optionally parallel evaluation over grids of sweep points.
 
     ``executor`` picks the default fan-out mode for :meth:`run`:
-    ``"serial"`` (in-process, keeps live traces), ``"thread"`` (shares
-    the cache across a thread pool) or ``"process"`` (a
+    ``"serial"`` (in-process, keeps live traces) or ``"process"`` (a
     ``ProcessPoolExecutor``; workers return metric payloads).
     ``cache_dir`` turns on the on-disk JSON store (conventionally
     ``.repro_cache/``).  ``progress`` receives a
@@ -357,7 +354,7 @@ class Sweep:
       failure is final.  A crashed worker process counts as a failed
       attempt for every point that was in flight on the broken pool.
     * ``timeout`` — per-point wall-clock budget in seconds.  Enforced in
-      the pool executors (a worker cannot be preempted from within, so
+      the process pool (a worker cannot be preempted from within, so
       serial mode ignores it); a point past its deadline is abandoned
       without retry — retrying a hang only spends the budget again.
     * ``on_error`` — ``"raise"`` (default) propagates the final failure
@@ -539,11 +536,11 @@ class Sweep:
 
         if pending:
             # A single miss is not worth a pool — unless a per-point
-            # timeout is set, which only the pool paths can enforce.
+            # timeout is set, which only the process pool can enforce.
             if mode == "serial" or (len(unique) == 1 and self.timeout is None):
                 self._drain_serial(pending, unique, results, total, started)
             else:
-                self._drain_pool(mode, max_workers, pending, unique, results, total, started)
+                self._drain_pool(max_workers, pending, unique, results, total, started)
 
         quarantined = [value for value in results if is_failure(value)]
         summary_args: list[Any] = [
@@ -638,42 +635,41 @@ class Sweep:
             self._record_ledger(point, value, key=key)
             self._resolve(key, value, pending, unique, results, total, started)
 
-    def _drain_pool(self, mode, max_workers, pending, unique, results, total, started) -> None:
-        """Fan pending points out over a pool, surviving bad workers.
+    def _drain_pool(self, max_workers, pending, unique, results, total, started) -> None:
+        """Fan pending points out over a process pool, surviving bad workers.
 
         A future that raises is retried up to ``retries`` times by
-        resubmission; a broken process pool (a worker died — OOM kill,
-        ``os._exit``) is rebuilt and every in-flight point charged one
+        resubmission; a broken pool (a worker died — OOM kill,
+        ``os._exit`` — seen as a lost future or as a refused
+        resubmission) is rebuilt and every in-flight point charged one
         attempt, since the culprit cannot be identified; a point past its
         ``timeout`` is abandoned (its worker cannot be preempted, so the
         pool is finally shut down without waiting for stragglers).
         """
         workers = max_workers or self.max_workers
-        worker_fn = _pool_compute if mode == "process" else compute_point
         # Capture the submitting side's trace once: every point of this
-        # drain belongs to the request that started the sweep.  Process
-        # workers get it in the task payload (contextvars do not cross
-        # process boundaries); thread workers share this process and the
-        # parent's ledger/metrics hooks run on the parent side anyway.
-        trace_payload = tracectx.current_payload() if mode == "process" else None
-
-        def make_pool() -> Executor:
-            if mode == "process":
-                return ProcessPoolExecutor(max_workers=workers)
-            return ThreadPoolExecutor(max_workers=workers)
-
-        pool = make_pool()
+        # drain belongs to the request that started the sweep.  Workers
+        # get it in the task payload (contextvars do not cross process
+        # boundaries).
+        trace_payload = tracectx.current_payload()
+        pool = ProcessPoolExecutor(max_workers=workers)
         attempts: dict[str, int] = {}
         futures: dict[Future, str] = {}
         deadlines: dict[Future, float] = {}
+        # Points whose attempt the broken pool lost, awaiting the rebuild.
+        stranded: list[str] = []
+        broken: BrokenExecutor | None = None
         had_stragglers = False
 
         def submit(key: str) -> None:
+            nonlocal broken
             attempts[key] = attempts.get(key, 0) + 1
-            if trace_payload is not None:
-                future = pool.submit(worker_fn, unique[key], trace_payload)
-            else:
-                future = pool.submit(worker_fn, unique[key])
+            try:
+                future = pool.submit(_pool_compute, unique[key], trace_payload)
+            except BrokenExecutor as exc:
+                broken = broken or exc
+                stranded.append(key)
+                return
             futures[future] = key
             if self.timeout is not None:
                 deadlines[future] = time.monotonic() + self.timeout
@@ -716,7 +712,27 @@ class Sweep:
         try:
             for key in unique:
                 submit(key)
-            while futures:
+            while futures or stranded:
+                if stranded:
+                    # Every future on the broken pool is lost; none can be
+                    # blamed, so each in-flight point is charged one attempt
+                    # and rerun on a fresh pool.
+                    lost = sorted([*stranded, *futures.values()], key=list(unique).index)
+                    stranded.clear()
+                    futures.clear()
+                    deadlines.clear()
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                    self.registry.counter("sweep_pool_rebuilds_total").inc()
+                    logger.warning(
+                        "worker pool broke (%s); rebuilding and retrying %d in-flight point(s)",
+                        broken, len(lost),
+                    )
+                    cause, broken = broken, None
+                    for key in lost:
+                        retry_or_fail(key, cause)
+                    continue
+
                 live = set(futures)
                 wait_timeout = None
                 if deadlines:
@@ -748,59 +764,36 @@ class Sweep:
                             raise exc
                         fail(key, exc, timed_out=True)
 
-                broken: BrokenExecutor | None = None
                 for future in done:
                     key = futures.pop(future, None)
                     if key is None:
                         continue
                     deadlines.pop(future, None)
-                    point = unique[key]
                     try:
-                        value = future.result()
+                        envelope = future.result()
                     except BrokenExecutor as exc:
-                        broken = exc
-                        break
+                        broken = broken or exc
+                        stranded.append(key)
+                        continue
                     except Exception as exc:  # noqa: BLE001 — resilience boundary
                         retry_or_fail(key, exc)
                         continue
-                    if mode == "process":
-                        envelope = value
-                        # The worker's own meter rides along in the
-                        # envelope; fold it into this sweep's registry
-                        # (and keep it out of the cached payload).
-                        worker_metrics = envelope.pop("worker_metrics", None)
-                        worker_trace = envelope.pop("worker_trace", None)
-                        if worker_metrics:
-                            self.registry.merge(
-                                RegistrySnapshot.from_payload(
-                                    worker_metrics,
-                                    trace_id=(worker_trace or {}).get("trace_id", ""),
-                                )
+                    # The worker's own meter rides along in the envelope;
+                    # fold it into this sweep's registry (and keep it out
+                    # of the cached payload).
+                    worker_metrics = envelope.pop("worker_metrics", None)
+                    worker_trace = envelope.pop("worker_trace", None)
+                    if worker_metrics:
+                        self.registry.merge(
+                            RegistrySnapshot.from_payload(
+                                worker_metrics,
+                                trace_id=(worker_trace or {}).get("trace_id", ""),
                             )
-                        value = _decode(envelope)
-                        self.cache.put(key, value, envelope)
-                    else:
-                        self.cache.put(key, value, _encode(value))
-                    self._record_ledger(point, value, key=key)
+                        )
+                    value = _decode(envelope)
+                    self.cache.put(key, value, envelope)
+                    self._record_ledger(unique[key], value, key=key)
                     self._resolve(key, value, pending, unique, results, total, started)
-
-                if broken is not None:
-                    # Every future on the broken pool is lost; none can be
-                    # blamed, so each in-flight point is charged one attempt
-                    # and rerun on a fresh pool.
-                    in_flight = sorted(set(futures.values()), key=list(unique).index)
-                    futures.clear()
-                    deadlines.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = make_pool()
-                    self.registry.counter("sweep_pool_rebuilds_total").inc()
-                    logger.warning(
-                        "worker pool broke (%s); rebuilding and retrying %d in-flight point(s)",
-                        broken, len(in_flight) + 1,
-                    )
-                    retry_or_fail(key, broken)
-                    for other in in_flight:
-                        retry_or_fail(other, broken)
         finally:
             pool.shutdown(wait=not had_stragglers, cancel_futures=True)
 

@@ -68,7 +68,7 @@ def ratel_init(
     active_offload: bool = True,
     delayed_update: bool = False,
     spill_dir: str | None = None,
-    optimizer_mode: str | None = None,
+    optimizer_mode: str = "sync",
     stale_k: int = 0,
     critical_frac: float = 0.0,
 ):
@@ -77,13 +77,8 @@ def ratel_init(
     Capacities are in bytes.  Yields the :class:`RatelContext`; the
     manager's spill files are cleaned up on exit.  ``optimizer_mode``
     (``sync``/``async``/``overlap``) selects the stall-free optimizer
-    variant for runtimes built under this context; ``None`` inherits the
-    session default (see :func:`repro.session.default_optimizer_mode`).
+    variant for runtimes built under this context.
     """
-    if optimizer_mode is None:
-        from repro.session import default_optimizer_mode
-
-        optimizer_mode = default_optimizer_mode()
     manager = st.StorageManager(
         gpu_capacity=gpu_capacity,
         host_capacity=host_capacity,

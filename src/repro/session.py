@@ -63,39 +63,6 @@ class SessionError(RuntimeError):
     """Misuse of the :class:`Session` lifecycle (re-entry, early bind)."""
 
 
-#: The process-wide default the stall-free optimizer engine consults when
-#: ``ratel_init(optimizer_mode=None)``.  A plain module global (not a
-#: ContextVar): it is *configuration*, set once by CLI wiring or scoped by
-#: ``Session(optimizer_mode=...)``, and read lazily at runtime build.
-_default_optimizer_mode = "sync"
-
-
-def default_optimizer_mode() -> str:
-    """The optimizer mode runtimes inherit when none is passed explicitly."""
-    return _default_optimizer_mode
-
-
-def set_default_optimizer_mode(mode: str) -> str:
-    """Set the session-wide optimizer mode; returns the previous value.
-
-    ``mode`` is one of ``sync`` / ``async`` / ``overlap`` (the same axis
-    as ``RatelRuntime(optimizer_mode=...)`` and the CLI's
-    ``--optimizer-mode``).  This is what the shared argparse parent calls
-    once at startup so sweeps, experiments and fleet drills pick the mode
-    up without ad-hoc flag threading.
-    """
-    from repro.runtime.offload import OPTIMIZER_MODES
-
-    if mode not in OPTIMIZER_MODES:
-        raise ValueError(
-            f"optimizer mode must be one of {OPTIMIZER_MODES}, got {mode!r}"
-        )
-    global _default_optimizer_mode
-    previous = _default_optimizer_mode
-    _default_optimizer_mode = mode
-    return previous
-
-
 class Session:
     """A scoped bundle of run wiring: ledger, span recorder, health.
 
@@ -113,11 +80,6 @@ class Session:
         recorder should publish into (implies ``observe``).
     sweep:
         The sweep to attach the ledger to (default: the shared one).
-    optimizer_mode:
-        When given (``sync``/``async``/``overlap``), scope the
-        session-wide default optimizer mode to this block — runtimes
-        built via ``ratel_init(optimizer_mode=None)`` inside it inherit
-        the mode; the previous default is restored on exit.
     trace:
         ``True`` roots a fresh :class:`~repro.obs.tracectx.TraceContext`
         for the block; an explicit :class:`TraceContext` scopes that one.
@@ -133,14 +95,12 @@ class Session:
         observe: bool = False,
         registry: "MetricsRegistry | None" = None,
         sweep: Sweep | None = None,
-        optimizer_mode: str | None = None,
         trace: "bool | tracectx.TraceContext" = False,
     ) -> None:
         self._ledger_spec = ledger
         self._observe = observe or registry is not None
         self._registry = registry
         self._sweep = sweep
-        self._optimizer_mode = optimizer_mode
         self._trace_spec = trace
         self._stack: contextlib.ExitStack | None = None
         self.ledger: RunLedger | None = None
@@ -166,9 +126,6 @@ class Session:
                 self.recorder = stack.enter_context(
                     spans.observe(registry=self._registry)
                 )
-            if self._optimizer_mode is not None:
-                previous_mode = set_default_optimizer_mode(self._optimizer_mode)
-                stack.callback(set_default_optimizer_mode, previous_mode)
             if self._trace_spec:
                 ctx = (
                     self._trace_spec

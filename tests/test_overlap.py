@@ -353,13 +353,3 @@ def test_property_k0_async_identity(seed, stale_k):
     for name, data in sync_params.items():
         np.testing.assert_array_equal(async_params[name], data)
 
-
-def test_session_default_mode_scoping():
-    from repro.session import Session, default_optimizer_mode
-
-    assert default_optimizer_mode() == "sync"
-    with Session(optimizer_mode="overlap"):
-        assert default_optimizer_mode() == "overlap"
-        with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=GB) as ctx:
-            assert ctx.optimizer_mode == "overlap"
-    assert default_optimizer_mode() == "sync"

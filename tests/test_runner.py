@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.faults import (
 )
 from repro.hardware import evaluation_server
 from repro.models import llm, profile_model
+from repro.obs.ledger import load_ledger
 from repro.runner import (
     CacheKeyError,
     PointFailure,
@@ -78,6 +82,19 @@ class TestCacheKeys:
         policy.plan(profile_model(CONFIG, 32), SERVER)  # populates _plan_cache
         after = SweepPoint.evaluate(policy, CONFIG, 32, SERVER).key()
         assert before == after
+
+    def test_perf_gate_points_keep_the_committed_ledger_keys(self):
+        """The CI perf gate diffs against ``benchmarks/results/ledger.jsonl``
+        by content key; a policy refactor that changed a key would orphan
+        the committed baseline."""
+        ledger = load_ledger(
+            str(Path(__file__).parents[1] / "benchmarks" / "results" / "ledger.jsonl")
+        )
+        committed = {entry.label: entry.config_key for entry in ledger.entries()}
+        points = grid(batches=(8, 32))
+        assert len(committed) == len(points) == 4
+        for point in points:
+            assert point.key() == committed[point.label()]
 
     def test_unserialisable_component_raises(self):
         with pytest.raises(CacheKeyError):
@@ -150,11 +167,6 @@ class TestExecutorEquivalence:
         serial = Sweep(executor="serial").run(grid())
         parallel = Sweep(executor="process", max_workers=2).run(grid())
         assert self._values(serial) == self._values(parallel)
-
-    def test_thread_pool_matches_serial(self):
-        serial = Sweep(executor="serial").run(grid())
-        threaded = Sweep(executor="thread", max_workers=2).run(grid())
-        assert self._values(serial) == self._values(threaded)
 
     def test_results_ordered_like_input(self):
         points = grid(batches=(8, 16, 32))
@@ -350,6 +362,54 @@ class TestQuarantinePool:
         assert is_failure(outcomes[2])  # only the poisoned point fails
         assert outcomes[2].error_type == "FaultInjected"
         assert isinstance(outcomes[3], EvalOutcome) and outcomes[3].feasible
+
+    def test_failure_on_a_pool_that_just_broke_is_retried_on_a_fresh_pool(
+        self, monkeypatch
+    ):
+        """A point that fails in the same round its pool breaks: the
+        resubmission is refused with ``BrokenProcessPool``, which must
+        rebuild the pool like a broken future does, not escape ``run``."""
+
+        class BreaksAfterFirstFailure:
+            """In-process pool that runs each task on submit and, once it
+            has handed out a failed future, refuses further work the way a
+            pool whose worker died does."""
+
+            def __init__(self, max_workers=None):
+                self.broken = False
+
+            def submit(self, fn, *args):
+                if self.broken:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:  # noqa: BLE001 - handed to the sweep
+                    future.set_exception(exc)
+                    self.broken = True
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(
+            "repro.runner.sweep.ProcessPoolExecutor", BreaksAfterFirstFailure
+        )
+        sweep = Sweep(
+            executor="process", retries=2, retry_backoff_s=0.0, on_error="quarantine"
+        )
+        outcomes = sweep.run(
+            [
+                SweepPoint.evaluate(RatelPolicy(), CONFIG, 8, SERVER),
+                SweepPoint.evaluate(RatelPolicy(), CONFIG, 16, SERVER),
+                SweepPoint.evaluate(PoisonPolicy(), CONFIG, 8, SERVER),
+            ]
+        )
+        assert all(isinstance(o, EvalOutcome) and o.feasible for o in outcomes[:2])
+        assert is_failure(outcomes[2])
+        assert outcomes[2].error_type == "FaultInjected"
+        assert outcomes[2].attempts == 3  # ran, lost to the broken pool, ran
+        assert sweep.metrics().value("sweep_pool_rebuilds_total") == 1
 
     def test_worker_crash_raises_without_retries(self, tmp_path):
         # A second point keeps the sweep on the pool path (a single
