@@ -22,8 +22,6 @@ Layout:
 * :mod:`repro.analysis`    — cost-effectiveness + result rendering.
 * :mod:`repro.fleet`       — multi-tenant scheduling of concurrent
   fine-tuning jobs across a heterogeneous simulated cluster.
-* :mod:`repro.session`     — run-scoped wiring: ledger + health +
-  span recording behind one context manager.
 """
 
 from repro.core import RatelPolicy

@@ -13,7 +13,7 @@ package closes the loop at runtime:
   sim traces / runtime spans, per-stage times vs Algorithm 1's
   :class:`~repro.core.iteration_model.IterationEstimate`, storage-layer
   error rates) into EWMA estimates and raising typed ``DriftEvent``s
-  past configurable :class:`DriftThresholds`;
+  past the module's threshold constants;
 * :mod:`~repro.adapt.ladder` — the graceful-degradation ladder: a
   sequence of increasingly conservative rungs (Algorithm-1 plan → more
   recomputation → larger SSD spill share → smaller micro-batch →
@@ -41,11 +41,7 @@ Surfaced through ``repro sweep --adapt``, the ``ext_adaptive``
 experiment and the ``chaos-drill`` CI job.
 """
 
-from .controller import (
-    AdaptiveController,
-    ControllerConfig,
-    Decision,
-)
+from .controller import AdaptiveController, Decision
 from .driver import (
     POSTURES,
     DrillStep,
@@ -59,7 +55,6 @@ from .driver import (
 from .health import (
     AdaptError,
     BandwidthDrift,
-    DriftThresholds,
     DriveDrift,
     Ewma,
     HealthMonitor,
@@ -78,7 +73,6 @@ from .runtime_hook import RuntimeHealth
 
 __all__ = [
     "AdaptiveController",
-    "ControllerConfig",
     "Decision",
     "POSTURES",
     "DrillStep",
@@ -90,7 +84,6 @@ __all__ = [
     "standard_drill",
     "AdaptError",
     "BandwidthDrift",
-    "DriftThresholds",
     "DriveDrift",
     "Ewma",
     "HealthMonitor",

@@ -17,7 +17,7 @@ events:
    failing that, the feasible rung with the best predicted
    seconds-per-token.
 4. **Step back up with hysteresis** once the monitor reports
-   ``recover_polls`` consecutive healthy iterations — and only if the
+   ``RECOVER_POLLS`` consecutive healthy iterations — and only if the
    re-plan actually lands on a higher rung, so a noisy-but-healthy trace
    never flaps.
 
@@ -30,57 +30,36 @@ carrying the triggering drift events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.hardware.spec import ServerSpec
 from repro.models.profile import ModelProfile
 
 from repro.core.engine import IterationResult
 from repro.core.hwprofile import HardwareProfile
-from repro.core.policy import OffloadPolicy
 from repro.core.ratel import RatelPolicy
 from repro.obs import tracectx
 from repro.obs.ledger import LedgerEntry, RunLedger
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.spans import maybe_span
 
-from .health import (
-    AdaptError,
-    DriftEvent,
-    DriftThresholds,
-    DriveDrift,
-    HealthMonitor,
-)
-from .ladder import DEFAULT_LADDER, LadderRung, RungPlan, compile_rung, rung_shortfalls
+from .health import DriftEvent, DriveDrift, HealthMonitor
+from .ladder import DEFAULT_LADDER, RungPlan, compile_rung, rung_shortfalls
 
 #: Relative bandwidth-recovery margin below which a sag-scale update is
 #: noise, not a recovery worth replanning for.
 _SAG_RECOVERY_MARGIN = 1.02
 
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Control-loop constants (hysteresis semantics in DESIGN.md §10)."""
-
-    #: The deadline is the healthy plan's predicted seconds-per-token
-    #: times this slack; a degraded plan inside the slack needs no ladder.
-    deadline_slack: float = 1.15
-    #: Consecutive healthy polls required before stepping back up.
-    recover_polls: int = 3
-    #: Polls after a plan swap during which non-drive drift is ignored
-    #: (the new plan's EWMAs need at least one sample to mean anything).
-    cooldown_iters: int = 1
-    #: EWMA smoothing passed to the :class:`HealthMonitor`.
-    alpha: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.deadline_slack < 1:
-            raise AdaptError(f"deadline_slack must be >= 1, got {self.deadline_slack}")
-        if self.recover_polls < 1:
-            raise AdaptError(f"recover_polls must be >= 1, got {self.recover_polls}")
-        if self.cooldown_iters < 0:
-            raise AdaptError(f"cooldown_iters cannot be negative, got {self.cooldown_iters}")
+#: The deadline is the healthy plan's predicted seconds-per-token times
+#: this slack; a degraded plan inside the slack needs no ladder.
+DEADLINE_SLACK = 1.15
+#: Consecutive healthy polls required before stepping back up
+#: (hysteresis semantics in DESIGN.md §10).
+RECOVER_POLLS = 3
+#: Polls after a plan swap during which non-drive drift is ignored (the
+#: new plan's EWMAs need at least one sample to mean anything).
+COOLDOWN_ITERS = 1
 
 
 @dataclass(frozen=True)
@@ -130,18 +109,11 @@ class AdaptiveController:
         profile: ModelProfile,
         server: ServerSpec,
         *,
-        thresholds: DriftThresholds | None = None,
-        config: ControllerConfig | None = None,
-        ladder: Sequence[LadderRung] = DEFAULT_LADDER,
         registry: MetricsRegistry | None = None,
         ledger: RunLedger | None = None,
-        policy: OffloadPolicy | None = None,
     ) -> None:
-        if not ladder:
-            raise AdaptError("the degradation ladder needs at least one rung")
-        self.config = config or ControllerConfig()
-        self.ladder: tuple[LadderRung, ...] = tuple(ladder)
-        self.policy = policy or RatelPolicy()
+        self.ladder = DEFAULT_LADDER
+        self.policy = RatelPolicy()
         self.base_profile = profile
         self.healthy_server = server
         self.registry = registry if registry is not None else default_registry()
@@ -157,15 +129,8 @@ class AdaptiveController:
             self.ladder[0], profile, self._profile_hardware()
         )
         #: Seconds-per-token the controller tries to preserve.
-        self.deadline_s_per_token = (
-            self.config.deadline_slack * self.plan.seconds_per_token
-        )
-        self.monitor = HealthMonitor(
-            self.plan.hardware,
-            self.plan.estimate,
-            thresholds=thresholds,
-            alpha=self.config.alpha,
-        )
+        self.deadline_s_per_token = DEADLINE_SLACK * self.plan.seconds_per_token
+        self.monitor = HealthMonitor(self.plan.hardware, self.plan.estimate)
         self.iteration = 0
         self._cooldown = 0
         self._healthy_streak = 0
@@ -243,7 +208,7 @@ class AdaptiveController:
         if self.monitor.healthy():
             self._healthy_streak += 1
             if (
-                self._healthy_streak >= self.config.recover_polls
+                self._healthy_streak >= RECOVER_POLLS
                 and (self.rung_index > 0 or self._sag < 1.0)
             ):
                 return self._attempt_step_up()
@@ -289,7 +254,7 @@ class AdaptiveController:
             return self._hold("healthy, but no higher rung is feasible", [])
         action = "step_up" if index < self.rung_index else "replan"
         reason = (
-            f"recovered: {self.config.recover_polls} healthy polls"
+            f"recovered: {RECOVER_POLLS} healthy polls"
             + (f", bandwidth back to {100 * self._sag:.0f}% of profiled" if recovered_bw else "")
         )
         return self._adopt(index, plan, action, reason, [])
@@ -324,7 +289,7 @@ class AdaptiveController:
         self.rung_index = index
         self.plan = plan
         self.monitor.rebase(plan.hardware, plan.estimate)
-        self._cooldown = self.config.cooldown_iters
+        self._cooldown = COOLDOWN_ITERS
         self._healthy_streak = 0
         return Decision(
             iteration=self.iteration,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.engine import IterationResult, run_iteration
+from repro.core.engine import run_iteration
 from repro.core.evaluation import EvalOutcome
 from repro.core.ratel import RatelPolicy
 from repro.core.resilience import degraded_server
@@ -38,8 +38,8 @@ from repro.models.profile import profile_model
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry
 
-from .controller import AdaptiveController, ControllerConfig, Decision
-from .health import AdaptError, DriftThresholds
+from .controller import AdaptiveController, Decision
+from .health import AdaptError
 
 POSTURES = ("stale", "replan_once", "adaptive")
 
@@ -182,9 +182,6 @@ def run_drill(
     drill: Sequence[DrillStep] | None = None,
     *,
     server: ServerSpec | None = None,
-    probe_interval: float = 1.0,
-    thresholds: DriftThresholds | None = None,
-    config: ControllerConfig | None = None,
     registry: MetricsRegistry | None = None,
     ledger: RunLedger | None = None,
 ) -> PostureRun:
@@ -206,15 +203,7 @@ def run_drill(
     run = PostureRun(posture=posture)
     controller: AdaptiveController | None = None
     if posture == "adaptive":
-        controller = AdaptiveController(
-            profile,
-            server,
-            thresholds=thresholds,
-            config=config,
-            registry=registry,
-            ledger=ledger,
-            policy=policy,
-        )
+        controller = AdaptiveController(profile, server, registry=registry, ledger=ledger)
         run.decisions = controller.decisions
 
     schedule = policy.compile(profile, server) if controller is None else None
@@ -223,7 +212,7 @@ def run_drill(
         step_server = degraded_server(server, step.n_failed)
         faults = step.faults()
         if controller is not None:
-            probe = HealthProbe(probe_interval)
+            probe = HealthProbe()
             active = controller.schedule
             result = run_iteration(step_server, active, faults=faults, health=probe)
             remaining = probe.remaining_ssds
@@ -249,8 +238,6 @@ def drill_outcome(
     drill: Sequence[DrillStep] | None = None,
     *,
     server: ServerSpec | None = None,
-    thresholds: DriftThresholds | None = None,
-    config: ControllerConfig | None = None,
     registry: MetricsRegistry | None = None,
     ledger: RunLedger | None = None,
 ) -> EvalOutcome:
@@ -269,8 +256,6 @@ def drill_outcome(
             batch_size,
             drill=drill,
             server=server,
-            thresholds=thresholds,
-            config=config,
             registry=registry if posture == "adaptive" else None,
             ledger=ledger if posture == "adaptive" else None,
         )

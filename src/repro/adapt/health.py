@@ -15,8 +15,9 @@ them against what the active plan *assumed*:
 * **I/O errors** — storage-layer error rates (a
   :class:`~repro.faults.FaultInjector` or any counter source).
 
-Crossing a :class:`DriftThresholds` bound raises a typed drift event on
-the next :meth:`HealthMonitor.poll`.  The monitor never acts — acting is
+Crossing one of the module's threshold constants (``BW_RATIO``,
+``OVERRUN_RATIO``, ``IO_ERROR_RATE``) raises a typed drift event on the
+next :meth:`HealthMonitor.poll`.  The monitor never acts — acting is
 the :class:`~repro.adapt.controller.AdaptiveController`'s job — and it
 is substrate-agnostic: the sim drill, the NumPy runtime hook and the
 tests all feed the same ``observe_*`` surface.
@@ -35,43 +36,19 @@ class AdaptError(ValueError):
     """Raised for inconsistent adaptation configuration."""
 
 
-@dataclass(frozen=True)
-class DriftThresholds:
-    """When does a deviation become a :class:`DriftEvent`?
-
-    ``bw_ratio`` and ``recover_ratio`` straddle a hysteresis band: a
-    channel is *drifting* below ``bw_ratio`` but only *healthy again*
-    above ``recover_ratio``, so a ratio hovering at the trip point never
-    flaps between states.  ``overrun_polls`` makes stage overruns
-    *sustained*: a single slow iteration (GC pause, cache miss storm) is
-    not drift.
-    """
-
-    #: Observed/expected bandwidth ratio below which a channel drifts.
-    bw_ratio: float = 0.85
-    #: Ratio the channel must climb back above to count as healthy.
-    recover_ratio: float = 0.93
-    #: Observed/predicted stage-time ratio above which a stage overruns.
-    overrun_ratio: float = 1.25
-    #: Consecutive over-threshold polls before an overrun is sustained.
-    overrun_polls: int = 2
-    #: I/O error rate (errors per operation) above which storage drifts.
-    io_error_rate: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not 0 < self.bw_ratio <= 1:
-            raise AdaptError(f"bw_ratio must be in (0, 1], got {self.bw_ratio}")
-        if not self.bw_ratio <= self.recover_ratio <= 1:
-            raise AdaptError(
-                f"recover_ratio must lie in [bw_ratio, 1] for hysteresis, "
-                f"got {self.recover_ratio} (bw_ratio {self.bw_ratio})"
-            )
-        if self.overrun_ratio <= 1:
-            raise AdaptError(f"overrun_ratio must exceed 1, got {self.overrun_ratio}")
-        if self.overrun_polls < 1:
-            raise AdaptError(f"overrun_polls must be >= 1, got {self.overrun_polls}")
-        if not 0 <= self.io_error_rate <= 1:
-            raise AdaptError(f"io_error_rate must be in [0, 1], got {self.io_error_rate}")
+#: Observed/expected bandwidth ratio below which a channel drifts.
+BW_RATIO = 0.85
+#: Ratio a channel must climb back above to count as healthy.  With
+#: ``BW_RATIO`` it straddles a hysteresis band, so a ratio hovering at
+#: the trip point never flaps between states.
+RECOVER_RATIO = 0.93
+#: Observed/predicted stage-time ratio above which a stage overruns.
+OVERRUN_RATIO = 1.25
+#: Consecutive over-threshold polls before an overrun is sustained: a
+#: single slow iteration (GC pause, cache miss storm) is not drift.
+OVERRUN_POLLS = 2
+#: I/O error rate (errors per operation) above which storage drifts.
+IO_ERROR_RATE = 0.01
 
 
 class Ewma:
@@ -271,36 +248,22 @@ class HealthMonitor:
 
     ``hardware`` is the :class:`HardwareProfile` the active plan was
     built against; ``estimate`` (optional) the plan's
-    :class:`IterationEstimate` for stage-overrun comparison.  ``alpha``
-    trades detection latency against noise rejection: 0.5 reacts within
-    two observations while still halving single-sample noise.
-    ``efficiency`` discounts expected bandwidths for substrates whose
-    transfers run below the profiled line rate (a schedule's
-    ``ssd_efficiency``).
+    :class:`IterationEstimate` for stage-overrun comparison.  Every
+    EWMA uses :class:`Ewma`'s default ``alpha`` of 0.5, which reacts
+    within two observations while still halving single-sample noise.
     """
 
     def __init__(
-        self,
-        hardware: HardwareProfile,
-        estimate: IterationEstimate | None = None,
-        *,
-        thresholds: DriftThresholds | None = None,
-        alpha: float = 0.5,
-        efficiency: float = 1.0,
+        self, hardware: HardwareProfile, estimate: IterationEstimate | None = None
     ) -> None:
-        if not 0 < efficiency <= 1:
-            raise AdaptError(f"efficiency must be in (0, 1], got {efficiency}")
         self.hardware = hardware
         self.estimate = estimate
-        self.thresholds = thresholds or DriftThresholds()
-        self.alpha = alpha
-        self.efficiency = efficiency
         self._bw_ratio: dict[str, Ewma] = {}
         self._bw_last: dict[str, tuple[float, float]] = {}  # observed, expected
         self._stage_ratio: dict[str, Ewma] = {}
         self._stage_last: dict[str, tuple[float, float]] = {}
         self._stage_over: dict[str, int] = {}
-        self._io_rate = Ewma(alpha)
+        self._io_rate = Ewma()
         self._io_last: tuple[int, int] = (0, 0)
         #: Surviving drives as last observed (``None`` until first fed).
         self.remaining_drives: int | None = None
@@ -313,7 +276,7 @@ class HealthMonitor:
         if expected_bw <= 0:
             return
         ratio = observed_bw / expected_bw
-        self._bw_ratio.setdefault(channel, Ewma(self.alpha)).update(ratio)
+        self._bw_ratio.setdefault(channel, Ewma()).update(ratio)
         self._bw_last[channel] = (observed_bw, expected_bw)
 
     def observe_ssd(self, read_bytes: float, written_bytes: float, busy_s: float) -> None:
@@ -322,7 +285,7 @@ class HealthMonitor:
             return
         expected = expected_ssd_bandwidth(self.hardware, read_bytes, written_bytes)
         observed = (read_bytes + written_bytes) / busy_s
-        self.observe_bandwidth("ssd", observed, expected * self.efficiency)
+        self.observe_bandwidth("ssd", observed, expected)
 
     def observe_drives(self, remaining: int) -> None:
         """Record the surviving drive count (events fire on change)."""
@@ -339,10 +302,10 @@ class HealthMonitor:
             predicted_s = stage_time.total if stage_time is not None else None
         if predicted_s is None or predicted_s <= 0 or observed_s < 0:
             return
-        ewma = self._stage_ratio.setdefault(stage, Ewma(self.alpha))
+        ewma = self._stage_ratio.setdefault(stage, Ewma())
         ratio = ewma.update(observed_s / predicted_s)
         self._stage_last[stage] = (observed_s, predicted_s)
-        if ratio > self.thresholds.overrun_ratio:
+        if ratio > OVERRUN_RATIO:
             self._stage_over[stage] = self._stage_over.get(stage, 0) + 1
         else:
             self._stage_over[stage] = 0
@@ -385,7 +348,7 @@ class HealthMonitor:
         if hw.bw_s2m <= 0 or hw.bw_m2s <= 0 or busy <= 0:
             return
         expected = 2.0 / (1.0 / hw.bw_s2m + 1.0 / hw.bw_m2s)
-        self.observe_bandwidth("ssd", moved / busy, expected * self.efficiency)
+        self.observe_bandwidth("ssd", moved / busy, expected)
 
     # -- querying --------------------------------------------------------------
 
@@ -396,23 +359,21 @@ class HealthMonitor:
 
     def healthy(self) -> bool:
         """All signals inside the recovery band (hysteresis upper edge)."""
-        th = self.thresholds
         if self.remaining_drives is not None and self._reported_drives is not None:
             if self.remaining_drives != self._reported_drives:
                 return False
         for ewma in self._bw_ratio.values():
-            if ewma.value is not None and ewma.value < th.recover_ratio:
+            if ewma.value is not None and ewma.value < RECOVER_RATIO:
                 return False
-        for stage, ewma in self._stage_ratio.items():
-            if ewma.value is not None and ewma.value > th.overrun_ratio:
+        for ewma in self._stage_ratio.values():
+            if ewma.value is not None and ewma.value > OVERRUN_RATIO:
                 return False
-        if self._io_rate.value is not None and self._io_rate.value > th.io_error_rate:
+        if self._io_rate.value is not None and self._io_rate.value > IO_ERROR_RATE:
             return False
         return True
 
     def poll(self) -> list[DriftEvent]:
         """Drift events currently past thresholds (drive changes fire once)."""
-        th = self.thresholds
         events: list[DriftEvent] = []
         if (
             self.remaining_drives is not None
@@ -422,39 +383,34 @@ class HealthMonitor:
             events.append(DriveDrift(self._reported_drives, self.remaining_drives))
             self._reported_drives = self.remaining_drives
         for channel, ewma in self._bw_ratio.items():
-            if ewma.value is not None and ewma.value < th.bw_ratio:
+            if ewma.value is not None and ewma.value < BW_RATIO:
                 observed, expected = self._bw_last[channel]
                 events.append(BandwidthDrift(channel, observed, expected))
         for stage, over in self._stage_over.items():
-            if over >= th.overrun_polls:
+            if over >= OVERRUN_POLLS:
                 observed, predicted = self._stage_last[stage]
                 events.append(StageOverrun(stage, observed, predicted, over))
-        if self._io_rate.value is not None and self._io_rate.value > th.io_error_rate:
+        if self._io_rate.value is not None and self._io_rate.value > IO_ERROR_RATE:
             errors, operations = self._io_last
             events.append(IOErrorDrift(errors, operations, self._io_rate.value))
         return events
 
     def rebase(
-        self,
-        hardware: HardwareProfile,
-        estimate: IterationEstimate | None = None,
-        *,
-        reset: bool = True,
+        self, hardware: HardwareProfile, estimate: IterationEstimate | None = None
     ) -> None:
         """Re-anchor the monitor on a fresh profile/plan after a replan.
 
-        ``reset`` drops the EWMAs: ratios measured against the *old*
-        profile would otherwise keep tripping thresholds against the new
-        one (a sag that the replan already priced in must not re-trigger).
+        The EWMAs are dropped: ratios measured against the *old* profile
+        would otherwise keep tripping thresholds against the new one (a
+        sag that the replan already priced in must not re-trigger).
         Drive state and cumulative error counters survive — they describe
         the machine, not the plan.
         """
         self.hardware = hardware
         self.estimate = estimate
-        if reset:
-            self._bw_ratio.clear()
-            self._bw_last.clear()
-            self._stage_ratio.clear()
-            self._stage_last.clear()
-            self._stage_over.clear()
-            self._io_rate.reset()
+        self._bw_ratio.clear()
+        self._bw_last.clear()
+        self._stage_ratio.clear()
+        self._stage_last.clear()
+        self._stage_over.clear()
+        self._io_rate.reset()

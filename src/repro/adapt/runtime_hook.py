@@ -32,10 +32,15 @@ from typing import Any, Callable
 
 from repro.obs.metrics import MetricsRegistry
 
-from .health import AdaptError, DriftThresholds, Ewma, IOErrorDrift, StageOverrun
+from .health import OVERRUN_POLLS, OVERRUN_RATIO, AdaptError, Ewma, IOErrorDrift, StageOverrun
 
 #: Rung names, in step-down order.
 RUNTIME_RUNGS = ("planned", "host_checkpoints", "sync_optimizer")
+
+#: The recovery edge of the hysteresis band: halfway between a healthy
+#: ratio of 1 and the trip point, mirroring ``RECOVER_RATIO`` vs
+#: ``BW_RATIO`` on the bandwidth side.
+STEP_RECOVER_RATIO = 1.0 + (OVERRUN_RATIO - 1.0) / 2.0
 
 
 class RuntimeHealth:
@@ -44,8 +49,6 @@ class RuntimeHealth:
     def __init__(
         self,
         *,
-        thresholds: DriftThresholds | None = None,
-        alpha: float = 0.5,
         warmup_steps: int = 3,
         recover_polls: int = 3,
         registry: MetricsRegistry | None = None,
@@ -55,16 +58,10 @@ class RuntimeHealth:
             raise AdaptError(f"warmup_steps must be >= 1, got {warmup_steps}")
         if recover_polls < 1:
             raise AdaptError(f"recover_polls must be >= 1, got {recover_polls}")
-        self.thresholds = thresholds or DriftThresholds()
-        self.alpha = alpha
         self.warmup_steps = warmup_steps
         self.recover_polls = recover_polls
         self.registry = registry
         self.clock = clock
-        #: The recovery edge of the hysteresis band: halfway between a
-        #: healthy ratio of 1 and the trip point, mirroring
-        #: ``recover_ratio`` vs ``bw_ratio`` on the bandwidth side.
-        self.recover_ratio = 1.0 + (self.thresholds.overrun_ratio - 1.0) / 2.0
 
         self.rung = 0
         #: ``(step, action, rung_name, reason)`` per ladder move.
@@ -72,8 +69,8 @@ class RuntimeHealth:
         #: Drift-event payloads, in firing order.
         self.events: list[dict[str, Any]] = []
         self._saved: dict[str, Any] = {}
-        self._baseline = Ewma(alpha)
-        self._ratio = Ewma(alpha)
+        self._baseline = Ewma()
+        self._ratio = Ewma()
         self._seen = 0
         self._over = 0
         self._healthy = 0
@@ -96,7 +93,7 @@ class RuntimeHealth:
 
         baseline = self._baseline.value or dt
         ratio = self._ratio.update(dt / baseline) if baseline > 0 else 1.0
-        if ratio > self.thresholds.overrun_ratio:
+        if ratio > OVERRUN_RATIO:
             self._over += 1
         else:
             self._over = 0
@@ -104,13 +101,13 @@ class RuntimeHealth:
         if delta_errors:
             self._on_errors(runtime, delta_errors, errors)
             return
-        if self._over >= self.thresholds.overrun_polls:
+        if self._over >= OVERRUN_POLLS:
             event = StageOverrun("train_step", dt, baseline, self._over)
             self.events.append(event.to_payload())
             self._count_event(event.kind)
             self._step_down(runtime, str(event))
             return
-        if ratio <= self.recover_ratio:
+        if ratio <= STEP_RECOVER_RATIO:
             self._healthy += 1
             if self._healthy >= self.recover_polls and self.rung > 0:
                 self._step_up(runtime)

@@ -19,29 +19,10 @@ import math
 from repro.core.evaluation import EvalOutcome
 from repro.core.policy import OffloadPolicy
 from repro.hardware.spec import ServerSpec
-from repro.obs.ledger import RunLedger
 from repro.runner import SweepPoint, default_sweep
 
 #: Marker for configurations a system cannot run (rendered as "-").
 FAILED = float("nan")
-
-
-def attach_ledger(path_or_ledger: str | RunLedger) -> RunLedger:
-    """Attach a run ledger to the shared default sweep.
-
-    Every evaluation the experiment harnesses *compute* from here on
-    (cache hits excluded) is appended to the ledger as one JSONL entry —
-    the CLI's ``--ledger`` flag on ``sweep``/``experiments``/``report``
-    routes through this.  Returns the attached
-    :class:`~repro.obs.ledger.RunLedger`.
-
-    Delegates to :func:`repro.session.attach_ledger` — use
-    :class:`repro.session.Session` when the attachment should be scoped
-    and restored.
-    """
-    from repro.session import attach_ledger as _attach
-
-    return _attach(path_or_ledger)
 
 
 def evaluate_point(

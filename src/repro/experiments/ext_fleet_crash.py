@@ -4,9 +4,10 @@ A fleet scheduling days-long fine-tunes *will* lose its coordinator —
 the process that holds the queue, the event heap and every node's
 health.  This extension runs :func:`repro.fleet.run_crash_drill` (the
 standard hot afternoon: mid-trace degradation, a fail-stop node, a
-flapping node tripping the anti-flap quarantine, then ``kill -9`` of
-the coordinator mid-append with a torn journal tail) in three modes and
-tabulates what each recovery posture costs:
+flapping node, then ``kill -9`` of the coordinator mid-append with a
+torn journal tail) in three modes and tabulates what each recovery
+posture costs.  The flap's third crash would come after the kill, so
+the quarantine column reads 0 in every mode:
 
 * ``resume``     — write-ahead journal + per-job checkpoints: recovery
   requeues live jobs at their last durable checkpoint;

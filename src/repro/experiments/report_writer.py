@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 from repro.analysis.report import ExperimentResult
+from repro.obs.ledger import RunLedger
+from repro.runner import default_sweep
 
 from . import (
     fig1_breakdown,
@@ -520,9 +522,7 @@ def write_report(path: str = "EXPERIMENTS.md", *, ledger: str | None = None) -> 
     every point it computed (see :mod:`repro.obs.ledger`).
     """
     if ledger is not None:
-        from .common import attach_ledger
-
-        attach_ledger(ledger)
+        default_sweep().ledger = RunLedger(ledger)
     sections = build_sections()
     held = sum(claim.holds for section in sections for claim in section.claims)
     total = sum(len(section.claims) for section in sections)

@@ -39,7 +39,7 @@ from .chaos import (
     PoisonPolicy,
     SlowPolicy,
 )
-from .inject import FaultInjected, FaultInjector, InjectedIOError, with_retries
+from .inject import FaultInjected, FaultInjector, InjectedIOError
 from .nodes import NodeCrash, NodeFaultSchedule, NodeFlap
 from .schedule import (
     BandwidthSag,
@@ -67,5 +67,4 @@ __all__ = [
     "PoisonPolicy",
     "SSDDropout",
     "SlowPolicy",
-    "with_retries",
 ]

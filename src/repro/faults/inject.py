@@ -1,4 +1,4 @@
-"""Deterministic fault hooks for real I/O, plus the retry helper.
+"""Deterministic fault hooks for real I/O.
 
 :class:`FaultInjector` is the runtime-side fault source: the storage
 layer calls :meth:`FaultInjector.on_read` / :meth:`FaultInjector.on_write`
@@ -6,12 +6,8 @@ around every spill-file operation and :meth:`FaultInjector.maybe_corrupt`
 after successful writes.  Faults are either scheduled exactly
 (``fail_next_reads(2)`` — the next two reads raise) or drawn from a
 seeded RNG at a configured rate, so every scenario replays identically.
-
-:func:`with_retries` is the bounded retry-with-exponential-backoff loop
-the hardened storage layer (and any other real-I/O caller) wraps
-transient operations in — a thin, jitter-free front on the shared
-:mod:`repro.util.backoff` helper (kept here for its historical signature
-and for determinism: storage tests pin the exact delay sequence).
+The storage layer retries the transient errors through
+:func:`repro.util.backoff.retry_call`.
 """
 
 from __future__ import annotations
@@ -19,15 +15,9 @@ from __future__ import annotations
 import logging
 import os
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
-
-from repro.util.backoff import BackoffPolicy, retry_call
 
 logger = logging.getLogger("repro.faults")
-
-T = TypeVar("T")
 
 
 class FaultInjected(RuntimeError):
@@ -129,30 +119,3 @@ class FaultInjector:
             handle.write(bytes([byte[0] ^ 0x01]))
         self.injected_corruptions += 1
         logger.debug("injected bit flip in %s at offset %d", path, offset)
-
-
-def with_retries(
-    fn: Callable[[], T],
-    *,
-    what: str,
-    retries: int = 3,
-    backoff_s: float = 0.005,
-    retry_on: tuple[type[BaseException], ...] = (OSError,),
-    sleep: Callable[[float], None] = time.sleep,
-) -> T:
-    """Run ``fn`` with bounded retry and exponential backoff.
-
-    Retries only exceptions in ``retry_on`` (transient I/O by default),
-    sleeping ``backoff_s * 2**attempt`` between attempts and logging each
-    retry.  Delegates to :func:`repro.util.backoff.retry_call` with
-    jitter disabled — the delay sequence stays exactly
-    ``backoff_s, 2*backoff_s, ...`` so fault scenarios replay
-    bit-identically.  The final failure re-raises the last exception
-    unchanged so callers can wrap it in a domain error.
-    """
-    if retries < 0:
-        raise ValueError(f"retries cannot be negative, got {retries}")
-    policy = BackoffPolicy(
-        base_s=backoff_s, factor=2.0, max_attempts=retries + 1, jitter="none"
-    )
-    return retry_call(fn, policy=policy, what=what, retry_on=retry_on, sleep=sleep)

@@ -7,12 +7,14 @@ One run stages the worst plausible afternoon:
 1. the bursty trace arrives (every scheduler loaded with work);
 2. the standard mid-trace degradation hits the 4090 box;
 3. ``box-4080`` fail-stops (its job rolls back to checkpoint and
-   requeues) and ``box-3090`` *flaps* — three crashes inside the flap
-   window, tripping the anti-flap quarantine;
-4. at ``KILL_AT_S`` — degraded node, quarantined node, and a half-run
-   queue in flight — the coordinator dies mid-append: the fleet object
-   is abandoned and a torn half-record is glued onto the journal tail,
-   exactly the damage ``kill -9`` leaves;
+   requeues) and ``box-3090`` starts to *flap*, crashing at 900 s and
+   1,260 s.  Its third crash would fall at 1,620 s, after the kill, and
+   the recovered coordinator re-arms only rejoins, so no drill mode
+   trips the anti-flap quarantine;
+4. at ``KILL_AT_S`` — degraded node, two nodes with crash history, and
+   a half-run queue in flight — the coordinator dies mid-append: the
+   fleet object is abandoned and a torn half-record is glued onto the
+   journal tail, exactly the damage ``kill -9`` leaves;
 5. :meth:`~repro.fleet.cluster.Fleet.recover` rebuilds the fleet from
    the repaired journal on fresh node objects, the operator re-arms the
    heal/rejoin actions the dead coordinator's heap was holding, and the
@@ -59,8 +61,9 @@ from .trace import (
 )
 
 #: When the coordinator is killed (mid-run: after the degradation, the
-#: fail-stop and the quarantine, with jobs running and more still to
-#: arrive — so a journal-less crash demonstrably loses work).
+#: fail-stop and the flap's first two crashes, with jobs running and
+#: more still to arrive — so a journal-less crash demonstrably loses
+#: work).
 KILL_AT_S = 1400.0
 
 #: The fail-stop node and its outage window.
@@ -68,7 +71,8 @@ FAILSTOP_AT_S = 700.0
 FAILSTOP_NODE = "box-4080"
 FAILSTOP_OUTAGE_S = 500.0
 
-#: The flapping node: three crashes inside the window trips quarantine.
+#: The flapping node: a crash every 360 s from ``FLAP_AT_S``.  Three
+#: inside the flap window would trip quarantine; the kill comes first.
 FLAP_AT_S = 900.0
 FLAP_NODE = "box-3090"
 
@@ -99,6 +103,8 @@ class CrashDrillReport:
     #: Iterations executed then rolled back (redone work) across the run.
     lost_iterations: int
     checkpoints: int
+    #: Node crashes and quarantines the *recovered* coordinator recorded;
+    #: those before the kill died with the old coordinator's event log.
     node_crashes: int
     quarantines: int
     pre_crash_completed: int

@@ -19,8 +19,8 @@ work second:
 The file format is :class:`repro.util.jsonl.JsonlFile` in ``keep_open``
 mode: one persistent append handle, flush per record.  A flushed line
 survives ``kill -9`` of the coordinator (the page cache outlives the
-process); ``fsync=True`` upgrades that to power-loss durability at
-~1000x the per-record cost.  A crash mid-append tears at most the final
+process); the journal does not fsync, because power-loss durability
+would cost ~1000x per record.  A crash mid-append tears at most the final
 line; :meth:`repair` truncates it before the first post-crash append,
 exactly the serve journal's discipline.  The torn record is by
 definition the transition being applied at the instant of death — fold
@@ -28,7 +28,7 @@ recovers the job at its previous state, which costs redone work, never
 lost or duplicated jobs.
 
 Record grammar (``rec`` discriminates; every record carries ``t``, the
-fleet clock):
+fleet clock; the fold skips a record whose ``t`` is not a finite number):
 
 ========== ==============================================================
 submit       ``job`` (full spec payload), ``seq``, ``submitted_at``
@@ -55,6 +55,7 @@ recover      post-crash marker: ``jobs``, ``requeued``, ``clock``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -183,9 +184,9 @@ class JournalFold:
 class FleetJournal:
     """Append-only WAL over :class:`JsonlFile` (keep-open, flush per record)."""
 
-    def __init__(self, path: str, *, fsync: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._file = JsonlFile(path, fsync=fsync, keep_open=True)
+        self._file = JsonlFile(path, keep_open=True)
         self.repaired_bytes = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
@@ -232,7 +233,12 @@ class FleetJournal:
     def _apply(self, fold: JournalFold, record: dict[str, Any]) -> None:
         rec = record.get("rec")
         t = record.get("t")
-        if rec not in RECORD_KINDS or not isinstance(t, (int, float)):
+        if (
+            rec not in RECORD_KINDS
+            or isinstance(t, bool)
+            or not isinstance(t, (int, float))
+            or not math.isfinite(t)
+        ):
             fold.skipped += 1
             return
         fold.clock = max(fold.clock, float(t))

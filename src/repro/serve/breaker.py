@@ -9,7 +9,7 @@ it.  The breaker is the classic three-state machine:
 * **open** — requests are refused instantly (callers fall down the
   degradation ladder); after ``cooldown_s`` the next caller is let
   through as a probe.
-* **half_open** — a bounded number of probes run; ``success_threshold``
+* **half_open** — one probe runs at a time; ``success_threshold``
   successes close the breaker, any failure re-opens it (with a fresh
   cooldown).
 
@@ -53,7 +53,6 @@ class CircuitBreaker:
         failure_threshold: int = 3,
         cooldown_s: float = 1.0,
         success_threshold: int = 1,
-        max_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Callable[[BreakerTransition], None] | None = None,
     ) -> None:
@@ -63,12 +62,9 @@ class CircuitBreaker:
             raise ValueError("cooldown_s cannot be negative")
         if success_threshold < 1:
             raise ValueError("success_threshold must be at least 1")
-        if max_probes < 1:
-            raise ValueError("max_probes must be at least 1")
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
         self.success_threshold = success_threshold
-        self.max_probes = max_probes
         self.clock = clock
         self.on_transition = on_transition
         self.transitions: list[BreakerTransition] = []
@@ -76,7 +72,7 @@ class CircuitBreaker:
         self._state = "closed"
         self._failures = 0
         self._probe_successes = 0
-        self._probes_in_flight = 0
+        self._probe_in_flight = False
         self._opened_at = 0.0
 
     # -- state inspection ------------------------------------------------------
@@ -101,9 +97,9 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May a call proceed right now?
 
-        In half-open state at most ``max_probes`` calls are admitted
-        concurrently; each admitted call *must* be followed by
-        ``record_success`` or ``record_failure``.
+        In half-open state one call is admitted at a time; each admitted
+        call *must* be followed by ``record_success`` or
+        ``record_failure``.
         """
         with self._lock:
             self._tick()
@@ -111,16 +107,16 @@ class CircuitBreaker:
                 return True
             if self._state == "open":
                 return False
-            if self._probes_in_flight >= self.max_probes:
+            if self._probe_in_flight:
                 return False
-            self._probes_in_flight += 1
+            self._probe_in_flight = True
             return True
 
     def record_success(self) -> None:
         with self._lock:
             self._tick()
             if self._state == "half_open":
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                self._probe_in_flight = False
                 self._probe_successes += 1
                 if self._probe_successes >= self.success_threshold:
                     self._transition("closed", "probe quota met")
@@ -131,7 +127,7 @@ class CircuitBreaker:
         with self._lock:
             self._tick()
             if self._state == "half_open":
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                self._probe_in_flight = False
                 self._transition("open", f"probe failed: {reason}")
             elif self._state == "closed":
                 self._failures += 1
@@ -156,14 +152,14 @@ class CircuitBreaker:
             self._opened_at = self.clock()
             self._failures = 0
             self._probe_successes = 0
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
         elif to_state == "half_open":
             self._probe_successes = 0
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
         elif to_state == "closed":
             self._failures = 0
             self._probe_successes = 0
-            self._probes_in_flight = 0
+            self._probe_in_flight = False
         transition = BreakerTransition(
             time=self.clock(), from_state=from_state, to_state=to_state, reason=reason
         )

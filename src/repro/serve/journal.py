@@ -62,9 +62,9 @@ class JournalAccounting:
 class RequestJournal:
     """Append-only WAL over :class:`JsonlFile` (fsync per append)."""
 
-    def __init__(self, path: str, *, fsync: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._file = JsonlFile(path, fsync=fsync)
+        self._file = JsonlFile(path, fsync=True)
         self.repaired_bytes = 0
 
     def repair(self) -> int:
@@ -113,7 +113,7 @@ class RequestJournal:
                 accounting.accepted[request_id] = record
             elif kind in ("done", "failed"):
                 bucket = accounting.done if kind == "done" else accounting.failed
-                if request_id in accounting.done | accounting.failed:
+                if request_id in accounting.done or request_id in accounting.failed:
                     duplicates += 1
                 if request_id not in accounting.accepted:
                     accounting.unmatched += 1

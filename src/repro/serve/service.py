@@ -243,7 +243,6 @@ class ServiceConfig:
     deadline_s: float = 5.0
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 1.0
-    breaker_probes: int = 1
     retry_attempts: int = 2
     retry_base_s: float = 0.01
     cache_dir: str = ".serve-cache"
@@ -370,7 +369,6 @@ class PlannerService:
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
-            success_threshold=self.config.breaker_probes,
             clock=clock,
             on_transition=self._on_breaker_transition,
         )

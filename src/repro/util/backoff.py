@@ -1,10 +1,9 @@
 """One retry/backoff vocabulary for every transient-failure boundary.
 
-Three subsystems grew their own exponential-backoff loops: the storage
-layer's spill I/O (``with_retries`` in :mod:`repro.faults.inject`), the
-sweep runner's point retries (inline ``delay *= 2`` bookkeeping in two
-places), and now the planner service's sim-backend calls.  This module
-is the single implementation they all share:
+Three boundaries retry transient failures with exponential backoff: the
+storage layer's spill I/O (:class:`~repro.runtime.storage.StorageManager`),
+the sweep runner's point retries and the planner service's sim-backend
+calls.  This module is the single implementation they all share:
 
 * :class:`BackoffPolicy` — the *schedule*: exponential growth from
   ``base_s`` by ``factor``, an optional ``max_delay_s`` cap, a bounded

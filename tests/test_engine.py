@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    IterationTimeModel,
     OptimizerMode,
     RatelPolicy,
     StatesLocation,
@@ -13,7 +12,7 @@ from repro.core import (
     run_iteration,
 )
 from repro.core.schedule import IterationSchedule
-from repro.hardware import GB, evaluation_server
+from repro.hardware import GB
 from repro.models import llm, profile_model
 
 

@@ -29,7 +29,6 @@ from repro.faults import (
     InjectedIOError,
     LatencyStall,
     SSDDropout,
-    with_retries,
 )
 from repro.hardware import evaluation_server
 from repro.models import llm, profile_model
@@ -282,48 +281,6 @@ class TestFaultInjector:
         b = fire_pattern(FaultInjector(write_error_rate=0.5, seed=7))
         assert a == b
         assert any(a)
-
-
-class TestWithRetries:
-    def test_recovers_from_transient_failures(self):
-        calls, naps = [], []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        result = with_retries(
-            flaky, what="test op", retries=3, backoff_s=0.01, sleep=naps.append
-        )
-        assert result == "ok"
-        assert len(calls) == 3
-        assert naps == [0.01, 0.02]  # exponential backoff
-
-    def test_exhaustion_reraises_last_error(self):
-        def always_fails():
-            raise OSError("still broken")
-
-        with pytest.raises(OSError, match="still broken"):
-            with_retries(
-                always_fails, what="test op", retries=2, backoff_s=0, sleep=lambda s: None
-            )
-
-    def test_non_retryable_errors_propagate_immediately(self):
-        calls = []
-
-        def wrong_kind():
-            calls.append(1)
-            raise ValueError("not I/O")
-
-        with pytest.raises(ValueError):
-            with_retries(wrong_kind, what="test op", retries=5, sleep=lambda s: None)
-        assert len(calls) == 1
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            with_retries(lambda: None, what="test op", retries=-1)
 
 
 @pytest.fixture

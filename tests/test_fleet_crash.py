@@ -177,6 +177,27 @@ class TestJournalFold:
         assert not fold.jobs
         journal.close()
 
+    def test_non_finite_and_boolean_times_skipped(self, tmp_path):
+        """A damaged ``t`` (Infinity, NaN, a bool) never reaches the fleet
+        clock: the record is skipped and counted, and recovery resumes at
+        the last sound instant."""
+        path = str(tmp_path / "j.jsonl")
+        journal = FleetJournal(path)
+        spec = job("a")
+        journal.append("submit", 4.0, job=spec.to_payload(), seq=0, submitted_at=4.0)
+        journal.append("checkpoint", math.inf, job_id="a", node="n0", iterations=2)
+        journal.append("degrade", math.nan, node="n0", failed_ssds=1, bw_sag=0.5)
+        journal.append("recover", True, jobs=1, requeued=1, clock=4.0)
+        journal.close()
+        fold = FleetJournal(path).fold()
+        assert fold.skipped == 3
+        assert fold.clock == 4.0 and fold.recoveries == 0
+        assert fold.jobs["a"].checkpointed == 0 and fold.nodes == {}
+
+        recovered = Fleet.recover(path, stub_nodes(2), "fifo", oracle=StubOracle())
+        assert recovered.now == 4.0
+        recovered.journal.close()
+
     def test_unknown_kind_rejected_on_append(self, tmp_path):
         journal = self._journal(tmp_path)
         with pytest.raises(FleetError, match="unknown journal record kind"):
@@ -326,6 +347,29 @@ class TestCrashRecovery:
         result = recovered.result("pinned")
         assert result.state == "rejected" and result.node is None
         assert not recovered._queue
+        recovered.journal.close()
+
+    def test_quarantine_survives_coordinator_crash(self, tmp_path):
+        fleet, path = journaled_fleet(
+            tmp_path, n=2, flap_window=1000.0, flap_threshold=3
+        )
+        NodeFaultSchedule(
+            (NodeFlap(at=10.0, node="n0", cycles=3, down_s=5.0, up_s=20.0),)
+        ).install(fleet)
+        fleet.run_until(100.0)
+        assert fleet._by_name["n0"].quarantined
+        kill_minus_nine(fleet)
+        del fleet
+
+        recovered = Fleet.recover(
+            path, stub_nodes(2), "fifo", oracle=StubOracle(),
+            flap_window=1000.0, flap_threshold=3,
+        )
+        assert recovered.journal.repaired_bytes == len(TORN)
+        n0 = recovered._by_name["n0"]
+        assert n0.quarantined and n0.alive and not n0.free
+        assert n0.crash_times == [10.0, 35.0, 60.0]
+        assert recovered._by_name["n1"].free
         recovered.journal.close()
 
     def test_node_health_reinstated(self, tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.models import IntrospectionError, profile_from_module, profile_model
+from repro.models import IntrospectionError, profile_from_module
 from repro.models.config import TransformerConfig
 from repro.runtime import DiTModel, GPTModel
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware import GB
 from repro.models import (
-    DIT_PRESETS,
     LLM_PRESETS,
     ModelConfigError,
     ModelStateFootprint,

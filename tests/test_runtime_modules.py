@@ -13,7 +13,6 @@ from repro.runtime import (
     Linear,
     MLP,
     MSELoss,
-    Module,
     MultiHeadAttention,
     Tensor,
     TransformerBlock,

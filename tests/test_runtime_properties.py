@@ -9,7 +9,6 @@ through both execution modes and demands bit-identical parameters.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime import (

@@ -100,7 +100,6 @@ class TestBreakerBasics:
             {"failure_threshold": 0},
             {"cooldown_s": -1.0},
             {"success_threshold": 0},
-            {"max_probes": 0},
         ],
     )
     def test_malformed_breakers_rejected(self, kwargs):

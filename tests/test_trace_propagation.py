@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +28,6 @@ from repro.obs.tracectx import TraceContext
 from repro.runner import Sweep, SweepPoint
 from repro.runner.sweep import _pool_compute
 from repro.serve import PlannerService, ServiceConfig, make_server, start_in_thread
-from repro.session import Session
 
 hex_trace = st.text("0123456789abcdef", min_size=32, max_size=32).filter(
     lambda s: set(s) != {"0"}
@@ -132,9 +130,9 @@ class TestSweepPoolPropagation:
 
     def test_process_sweep_attributes_ledger_and_metrics(self, tmp_path):
         path = str(tmp_path / "runs.jsonl")
-        sweep = Sweep(executor="process", max_workers=2)
-        with Session(ledger=path, sweep=sweep, trace=True) as session:
-            trace_id = session.trace.trace_id
+        sweep = Sweep(executor="process", max_workers=2, ledger=path)
+        with tracectx.activate(tracectx.new_trace()) as trace:
+            trace_id = trace.trace_id
             points = [self._point(batch) for batch in (8, 16)]
             outcomes = sweep.run(points)
         assert all(o.feasible for o in outcomes)
@@ -347,8 +345,8 @@ class TestAdaptStamping:
         from repro.adapt import drill_outcome
 
         path = str(tmp_path / "adapt.jsonl")
-        with Session(trace=True) as session:
-            trace_id = session.trace.trace_id
+        with tracectx.activate(tracectx.new_trace()) as trace:
+            trace_id = trace.trace_id
             outcome = drill_outcome(ledger=RunLedger(path))
         assert outcome.metrics["plan_swaps"] > 0
         decisions = [e for e in load_ledger(path).entries() if e.kind == "adapt"]
@@ -390,8 +388,8 @@ class TestTraceReportRoundTrip:
 
     def test_traced_sweep_retrievable_via_obs_report(self, tmp_path):
         path = str(tmp_path / "runs.jsonl")
-        sweep = Sweep(executor="process", max_workers=2)
-        with Session(ledger=path, sweep=sweep, trace=True) as session:
+        sweep = Sweep(executor="process", max_workers=2, ledger=path)
+        with tracectx.activate(tracectx.new_trace()) as trace:
             sweep.run(
                 [
                     SweepPoint.evaluate(
@@ -400,7 +398,7 @@ class TestTraceReportRoundTrip:
                     for batch in (8, 16)
                 ]
             )
-            trace_id = session.trace.trace_id
+            trace_id = trace.trace_id
         code, text = run_cli("obs", "report", "--trace-id", trace_id, "--ledger", path)
         assert code == 0
         assert "2 ledger record" in text
