@@ -1,13 +1,35 @@
-"""Bench: the functional runtime's training step (offload machinery cost).
+"""Bench: the functional runtime's training step, lane by lane.
 
 Not a paper figure — this times the NumPy substrate itself: a full
-forward/backward/active-optimizer iteration of a small GPT with
-checkpointed blocks, NVMe spill and per-parameter CPU-Adam handlers.
+forward/backward/active-optimizer iteration of the small GPT that
+perfbench's ``train_step`` workload runs, with checkpointed blocks,
+NVMe-tier states and per-parameter CPU-Adam handlers.  After two warm-up
+steps it observes STEPS more, each under its own :func:`repro.obs.observe`
+block with a metrics registry, and records for every ``rt_*`` lane the
+busy milliseconds (``rt_busy_seconds_total``), minimum over the steps,
+plus the storage moves per step (spans on the tier-link lanes).
+
+Lanes nest, so they do not add up to ``rt_step``: a tier move's lane
+includes the spill or load it runs on ``rt_ssd``, and ``rt_cpu_adam``
+includes the moves of the parameter's states.  Results land in
+``benchmarks/results/BENCH_runtime.json``; its ``before`` block is this
+file run at 334937e on the same host.  Runs under the ``bench_smoke``
+marker.
 """
 
-import numpy as np
+from __future__ import annotations
 
+import os
+import platform
+
+import numpy as np
+import pytest
+
+from repro.obs import MetricsRegistry, link_lane, observe
 from repro.runtime import (
+    GPU,
+    HOST,
+    NVME,
     CrossEntropyLoss,
     GPTModel,
     RatelOptimizer,
@@ -15,12 +37,32 @@ from repro.runtime import (
     ratel_init,
 )
 
+from conftest import write_bench_json
+
 GB = 1e9
+WARMUP, STEPS = 2, 5
+LINK_LANES = {
+    link_lane(source, dest)
+    for source in (GPU, HOST, NVME)
+    for dest in (GPU, HOST, NVME)
+    if source != dest
+}
 
 
-def test_runtime_train_step(benchmark):
+def _lane_totals(registry: MetricsRegistry, name: str) -> dict[str, float]:
+    return {
+        sample.labels["lane"]: sample.value
+        for sample in registry.snapshot().samples
+        if sample.name == name
+    }
+
+
+@pytest.mark.bench_smoke
+def test_runtime_train_step():
     rng = np.random.default_rng(0)
     loss_fn = CrossEntropyLoss()
+    busy_ms: dict[str, float] = {}
+    moves = set()
     with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=8 * GB):
         model = GPTModel(101, 32, 4, 4, 32, np.random.default_rng(1))
         runtime = ratel_hook(model)
@@ -28,8 +70,29 @@ def test_runtime_train_step(benchmark):
         ids = rng.integers(0, 101, size=(8, 32))
         targets = np.roll(ids, -1, axis=1)
 
-        def step():
+        def step() -> float:
             return runtime.train_step(lambda: loss_fn(model(ids), targets))
 
-        loss = benchmark(step)
-        assert loss > 0
+        for _ in range(WARMUP):
+            step()
+        for _ in range(STEPS):
+            registry = MetricsRegistry()
+            with observe(registry=registry):
+                assert step() > 0
+            for lane, seconds in _lane_totals(registry, "rt_busy_seconds_total").items():
+                busy_ms[lane] = min(busy_ms.get(lane, float("inf")), seconds * 1e3)
+            spans = _lane_totals(registry, "rt_spans_total")
+            moves.add(sum(count for lane, count in spans.items() if lane in LINK_LANES))
+    assert len(moves) == 1, f"moves per step differ between steps: {sorted(moves)}"
+    write_bench_json(
+        "runtime",
+        {
+            "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+            "busy_ms": busy_ms,
+            "moves_per_step": moves.pop(),
+        },
+    )
+    print(
+        "\ntrain step busy ms: "
+        + ", ".join(f"{lane} {ms:.1f}" for lane, ms in sorted(busy_ms.items()))
+    )

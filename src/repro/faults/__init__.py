@@ -14,9 +14,9 @@ all three substrates of the reproduction:
   with one) and the timeline degrades exactly when the schedule says so.
 * **functional runtime** — :class:`FaultInjector` hooks into
   :class:`~repro.runtime.storage.StorageManager` spill I/O: transient
-  ``OSError`` on read/write and bit flips on the spill files, which the
+  ``OSError`` on read/write and bit flips in spilled payloads, which the
   hardened storage layer must survive (bounded retry with backoff) or
-  detect (per-file checksums).
+  detect (a CRC32 per spilled tensor).
 * **sweep runner** — the chaos policies (:class:`PoisonPolicy`,
   :class:`FlakyPolicy`, :class:`CrashPolicy`, :class:`SlowPolicy`)
   produce sweep points that raise, crash their worker process, or hang,

@@ -13,7 +13,6 @@ The storage layer retries the transient errors through
 from __future__ import annotations
 
 import logging
-import os
 import random
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ class FaultInjector:
 
     ``read_error_rate`` / ``write_error_rate`` make the corresponding
     hook raise :class:`InjectedIOError` with that probability (seeded
-    RNG); ``corrupt_rate`` flips one bit in the just-written file.  The
+    RNG); ``corrupt_rate`` flips one bit in the just-written payload.  The
     ``fail_next_*`` / ``corrupt_next_write`` methods schedule exact
     one-shot faults on top, which tests prefer for determinism.
 
@@ -71,7 +70,7 @@ class FaultInjector:
         self._fail_writes += count
 
     def corrupt_next_write(self, count: int = 1) -> None:
-        """Flip a bit in the next ``count`` successfully written files."""
+        """Flip a bit in the next ``count`` successfully written payloads."""
         self._corrupt_writes += count
 
     # -- hooks the storage layer calls -----------------------------------------
@@ -94,27 +93,29 @@ class FaultInjector:
         self.injected_write_errors += 1
         raise InjectedIOError(f"injected transient write error on {path!r}")
 
-    def maybe_corrupt(self, path: str) -> None:
-        """Called after a successful write; may silently corrupt the file."""
+    def maybe_corrupt(self, path: str, end: int) -> None:
+        """Called after a successful write; may flip a bit in the payload ending at ``end``."""
         if self._corrupt_writes > 0:
             self._corrupt_writes -= 1
         elif not (self.corrupt_rate and self._rng.random() < self.corrupt_rate):
             return
-        self.corrupt(path)
+        self.corrupt(path, end)
 
-    def corrupt(self, path: str) -> None:
-        """Flip one bit near the end of ``path`` (a torn write / media flip).
+    def corrupt(self, path: str, end: int) -> None:
+        """Flip one bit of the payload that ends at offset ``end`` of ``path``.
 
-        The tail of an ``.npy`` file is payload, not header, so the flip
-        lands in tensor data — exactly what a checksum must catch.
+        The storage layer keeps every spilled tensor in one arena file,
+        so ``end`` (the slot's offset plus its payload bytes) aims the
+        flip at that tensor's second-to-last byte — a torn write or media
+        flip inside its data, exactly what the tensor's CRC32 must catch,
+        while its neighbours stay intact.
         """
-        size = os.path.getsize(path)
-        if size == 0:
-            return
-        offset = max(0, size - 2)
+        offset = max(0, end - 2)
         with open(path, "r+b") as handle:
             handle.seek(offset)
             byte = handle.read(1)
+            if not byte:
+                return
             handle.seek(offset)
             handle.write(bytes([byte[0] ^ 0x01]))
         self.injected_corruptions += 1

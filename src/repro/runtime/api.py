@@ -75,7 +75,7 @@ def ratel_init(
     """Establish the Ratel storage hierarchy (the Fig. 4 ``Ratel_init``).
 
     Capacities are in bytes.  Yields the :class:`RatelContext`; the
-    manager's spill files are cleaned up on exit.  ``optimizer_mode``
+    manager's spill arena is removed on exit.  ``optimizer_mode``
     (``sync``/``async``/``overlap``) selects the stall-free optimizer
     variant for runtimes built under this context.
     """

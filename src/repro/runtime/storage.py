@@ -9,33 +9,47 @@ and the SSD array.  Every tensor the offload engine manages lives in a
 * counts every byte moved over each inter-tier link — the counters the
   tests compare against the analytic traffic model;
 * really spills: tensors moved to the ``nvme`` tier are written to disk
-  (``.npy`` in a spill directory) and their in-memory payload dropped,
-  so out-of-core behaviour is genuine, not simulated.
+  and their in-memory payload dropped, so out-of-core behaviour is
+  genuine, not simulated.
 
 Byte accounting uses the tensor's *storage* dtype (fp16 for activations
 and compute parameters, fp32 for master states) independent of the
 float32 the math runs in.  Spilled fp16 tensors are also *restored* at
 fp16 width, so resident memory matches the accounted bytes.
 
-Spill I/O is hardened against the failures a multi-day run actually
-sees: writes go to a temp file and ``os.replace`` into place (a crash
-mid-write never leaves a half-written spill under the real name), every
-spill carries a CRC32 checksum verified on load (torn writes and bit
-flips surface as :class:`SpillCorruptionError` instead of silently
-corrupted parameters), and transient ``OSError`` on either side is
-retried with exponential backoff before :class:`SpillError` is raised.
-A :class:`repro.faults.FaultInjector` can be attached to exercise all
-of these paths deterministically.
+Every spill of one manager goes to one arena file.  A spill takes a slot
+of the payload's power-of-two size class from that class's free list
+(or from the end of the file), ``os.pwrite``s the raw payload at its
+storage dtype, and keeps the slot's offset, the tensor's shape and a
+CRC32 of the payload in memory; a load ``os.preadv``s the slot into a
+fresh array and returns the slot to its free list.  No per-spill file
+is created, renamed or parsed.  The arena is opened by the first spill,
+deleted whenever no tensor is spilled, and removed by
+:meth:`StorageManager.close`.
+
+Spill data need not outlive the process: the slot table lives only in
+memory, and the durable training state is
+:func:`~repro.runtime.serialization.save_checkpoint`'s atomic ``.npz``.
+The arena is hardened against what a live multi-day run sees instead: a
+slot is recorded on its tensor only after the whole write succeeded, so
+a torn write is rewritten by the retry or its slot freed, never read;
+every load verifies the CRC32 (bit flips and short reads surface as
+:class:`SpillCorruptionError` instead of silently corrupted parameters);
+and transient ``OSError`` on either side is retried with exponential
+backoff before :class:`SpillError` is raised.  A
+:class:`repro.faults.FaultInjector` can be attached to exercise all of
+these paths deterministically.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,7 +83,7 @@ class SpillError(StorageError):
 
 
 class SpillCorruptionError(SpillError):
-    """A spill file failed its checksum on load (torn write / bit flip)."""
+    """A spilled payload failed its checksum or came back short on load."""
 
 
 @dataclass
@@ -98,12 +112,23 @@ class Tier:
         self.used_bytes -= nbytes
 
 
+class _Slot(NamedTuple):
+    """Where one spilled payload sits in the arena, and how to check it."""
+
+    offset: int
+    size: int
+    shape: tuple[int, ...]
+    crc: int
+
+
 @dataclass
 class StoredTensor:
     """A managed array with a tier location and a storage dtype.
 
     ``itemsize`` is the storage width in bytes (2 for fp16 tensors, 4
     for fp32 master states); the in-memory math stays float32.
+    ``nbytes``, the accounted bytes at that width, is fixed at
+    :meth:`StorageManager.put`.
     """
 
     name: str
@@ -111,28 +136,77 @@ class StoredTensor:
     tier: str
     itemsize: int
     manager: "StorageManager"
-    _spill_path: str | None = None
-    _spill_shape: tuple[int, ...] = field(default_factory=tuple)
-    _spill_crc: int | None = None
-
-    @property
-    def nbytes(self) -> float:
-        """Accounted bytes at the storage dtype."""
-        return self._count * self.itemsize
-
-    @property
-    def _count(self) -> int:
-        if self.array is not None:
-            return self.array.size
-        return int(np.prod(self._spill_shape))
+    nbytes: int
+    _slot: _Slot | None = None
 
     def data(self) -> np.ndarray:
         """The payload; the tensor must currently be resident (not on NVMe)."""
         if self.array is None:
+            if self._slot is None:
+                raise StorageError(f"tensor {self.name!r} was dropped")
             raise StorageError(
                 f"tensor {self.name!r} is spilled to NVMe; move it to host/gpu first"
             )
         return self.array
+
+
+class _Arena:
+    """One spill file carved into power-of-two slots with free lists.
+
+    The file is created by the first :meth:`write` and deleted as soon
+    as no slot is reserved, so it exists only while a tensor is spilled.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._fd: int | None = None
+        self._end = 0
+        self._free: dict[int, list[int]] = {}
+        self._reserved = 0
+
+    def reserve(self, nbytes: int) -> tuple[int, int]:
+        """``(offset, size)`` of a free slot that holds ``nbytes``."""
+        size = 1 << (max(nbytes, 1) - 1).bit_length()
+        free = self._free.get(size)
+        if free:
+            offset = free.pop()
+        else:
+            offset = self._end
+            self._end += size
+        self._reserved += 1
+        return offset, size
+
+    def release(self, offset: int, size: int) -> None:
+        """Return a slot; the last one out deletes the file."""
+        self._reserved -= 1
+        if self._reserved == 0:
+            self.close()
+        else:
+            self._free.setdefault(size, []).append(offset)
+
+    def write(self, offset: int, payload: np.ndarray) -> None:
+        """Write all of ``payload`` at ``offset``, creating the file on first use."""
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600)
+        written = os.pwrite(self._fd, payload, offset)
+        if written != payload.nbytes:
+            raise OSError(
+                errno.EIO, f"short write: {written} of {payload.nbytes} bytes", self.path
+            )
+
+    def read_into(self, offset: int, out: np.ndarray) -> int:
+        """Fill ``out`` from ``offset``; returns the bytes actually read."""
+        return os.preadv(self._fd, [out], offset)
+
+    def close(self) -> None:
+        """Close and delete the file and forget every slot."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+            os.unlink(self.path)
+        self._end = 0
+        self._free.clear()
+        self._reserved = 0
 
 
 class StorageManager:
@@ -170,7 +244,10 @@ class StorageManager:
         self.moved_bytes: dict[tuple[str, str], float] = {link: 0.0 for link in LINKS}
         self._own_spill_dir = spill_dir is None
         self.spill_dir = spill_dir or tempfile.mkdtemp(prefix="ratel-nvme-")
-        self._spill_seq = 0
+        # Unique per manager, so managers sharing a spill_dir never collide.
+        self._arena = _Arena(
+            os.path.join(self.spill_dir, f"arena-{os.getpid()}-{id(self):x}.bin")
+        )
         self._tensors: dict[str, StoredTensor] = {}
 
     # -- lifecycle ---------------------------------------------------------------
@@ -182,12 +259,14 @@ class StorageManager:
         self._check_tier(tier)
         if name in self._tensors:
             raise StorageError(f"tensor {name!r} already registered")
+        array = np.ascontiguousarray(array, dtype=np.float32)
         tensor = StoredTensor(
             name=name,
-            array=np.ascontiguousarray(array, dtype=np.float32),
+            array=array,
             tier=tier,
             itemsize=itemsize,
             manager=self,
+            nbytes=array.size * itemsize,
         )
         self.tiers[tier].allocate(tensor.nbytes)
         if tier == NVME:
@@ -201,9 +280,10 @@ class StorageManager:
 
     def drop(self, tensor: StoredTensor) -> None:
         """Discard a tensor entirely (e.g. a recomputable activation)."""
+        self._check_live(tensor, "drop")
         self.tiers[tensor.tier].free(tensor.nbytes)
-        self._unspill_file(tensor)
-        self._tensors.pop(tensor.name, None)
+        self._release(tensor)
+        del self._tensors[tensor.name]
         tensor.array = None
 
     def move(self, tensor: StoredTensor, dest: str) -> None:
@@ -218,6 +298,7 @@ class StorageManager:
         tensor, its accounting and the traffic counters in the source
         state, so the caller can handle the error and carry on.
         """
+        self._check_live(tensor, "move")
         self._check_tier(dest)
         source = tensor.tier
         if source == dest:
@@ -254,9 +335,10 @@ class StorageManager:
             raise StorageError(f"unknown tensor {name!r}") from None
 
     def close(self) -> None:
-        """Delete spill files (the manager owns its temp directory)."""
-        for tensor in list(self._tensors.values()):
-            self._unspill_file(tensor)
+        """Delete the spill arena (and the temp directory the manager owns)."""
+        self._arena.close()
+        for tensor in self._tensors.values():
+            tensor._slot = None
         if self._own_spill_dir and os.path.isdir(self.spill_dir):
             for entry in os.listdir(self.spill_dir):
                 os.unlink(os.path.join(self.spill_dir, entry))
@@ -265,33 +347,26 @@ class StorageManager:
     # -- internals ---------------------------------------------------------------------
 
     def _spill(self, tensor: StoredTensor) -> None:
-        """Write the payload to disk atomically and drop it from memory.
+        """Write the payload into an arena slot and drop it from memory.
 
-        Each attempt writes to a temp file and ``os.replace``s it into
-        place, so a failure (or crash) mid-write never leaves a truncated
-        file under the spill name.  Transient ``OSError`` is retried with
-        backoff; exhaustion raises :class:`SpillError`.
+        fp16 tensors are written at fp16 width: the round-trip precision
+        loss is part of faithful mixed-precision behaviour.  The slot's
+        offset, shape and CRC32 are recorded on the tensor only once the
+        whole payload is written.  A torn write (a short or failed
+        ``pwrite``) leaves nothing that a load could read: the retry
+        rewrites the same slot in full, and if the retries run out the
+        slot goes back to its free list and :class:`SpillError` is
+        raised.
         """
-        if tensor.array is None:
-            return
-        self._spill_seq += 1
-        path = os.path.join(self.spill_dir, f"{self._spill_seq:08d}.npy")
-        # fp16 tensors are persisted at fp16 width: the round-trip
-        # precision loss is part of faithful mixed-precision behaviour.
         disk_dtype = np.float16 if tensor.itemsize == 2 else np.float32
-        payload = np.ascontiguousarray(tensor.array.astype(disk_dtype))
+        payload = np.ascontiguousarray(tensor.array, dtype=disk_dtype)
+        arena = self._arena
+        offset, size = arena.reserve(payload.nbytes)
 
         def attempt() -> None:
             if self.faults is not None:
-                self.faults.on_write(path)
-            tmp = path + ".tmp"
-            try:
-                with open(tmp, "wb") as handle:
-                    np.save(handle, payload)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                self.faults.on_write(arena.path)
+            arena.write(offset, payload)
 
         try:
             with _spans.maybe_span(_spans.RT_SSD, f"spill:{tensor.name}", tensor.nbytes):
@@ -302,15 +377,14 @@ class StorageManager:
                     sleep=self._sleep,
                 )
         except OSError as exc:
+            arena.release(offset, size)
             raise SpillError(
-                f"spilling tensor {tensor.name!r} to {path!r} failed after "
+                f"spilling tensor {tensor.name!r} to {arena.path!r} failed after "
                 f"{self.max_retries + 1} attempt(s): {exc}"
             ) from exc
         if self.faults is not None:
-            self.faults.maybe_corrupt(path)
-        tensor._spill_crc = zlib.crc32(payload.tobytes())
-        tensor._spill_shape = tensor.array.shape
-        tensor._spill_path = path
+            self.faults.maybe_corrupt(arena.path, offset + payload.nbytes)
+        tensor._slot = _Slot(offset, size, payload.shape, zlib.crc32(payload))
         tensor.array = None
 
     def _load(self, tensor: StoredTensor) -> None:
@@ -318,22 +392,24 @@ class StorageManager:
 
         The tensor is restored at its *storage* width (fp16 stays fp16),
         so resident bytes match the accounted ``nbytes``.  Transient
-        ``OSError`` is retried; a checksum mismatch or an unparseable
-        file is corruption — deterministic, so it fails immediately with
-        :class:`SpillCorruptionError`.
+        ``OSError`` is retried; a short read or a CRC32 mismatch is
+        corruption — deterministic, so it fails immediately with
+        :class:`SpillCorruptionError`.  A verified load frees the slot.
         """
-        if tensor._spill_path is None:
-            raise StorageError(f"tensor {tensor.name!r} has no spill file")
-        path = tensor._spill_path
+        slot = tensor._slot
+        if slot is None:
+            raise StorageError(f"tensor {tensor.name!r} has no spilled payload")
+        arena = self._arena
+        out = np.empty(slot.shape, np.float16 if tensor.itemsize == 2 else np.float32)
 
-        def attempt() -> np.ndarray:
+        def attempt() -> int:
             if self.faults is not None:
-                self.faults.on_read(path)
-            return np.load(path)
+                self.faults.on_read(arena.path)
+            return arena.read_into(slot.offset, out)
 
         try:
             with _spans.maybe_span(_spans.RT_SSD, f"load:{tensor.name}", tensor.nbytes):
-                array = retry_call(
+                read = retry_call(
                     attempt,
                     policy=self._backoff,
                     what=f"load of {tensor.name!r}",
@@ -341,30 +417,34 @@ class StorageManager:
                 )
         except OSError as exc:
             raise SpillError(
-                f"loading tensor {tensor.name!r} from {path!r} failed after "
+                f"loading tensor {tensor.name!r} from {arena.path!r} failed after "
                 f"{self.max_retries + 1} attempt(s): {exc}"
             ) from exc
-        except ValueError as exc:
+        if read != out.nbytes:
             raise SpillCorruptionError(
-                f"spill file {path!r} of tensor {tensor.name!r} is not a valid "
-                f".npy file (torn write?): {exc}"
-            ) from exc
-        if (
-            tensor._spill_crc is not None
-            and zlib.crc32(np.ascontiguousarray(array).tobytes()) != tensor._spill_crc
-        ):
-            raise SpillCorruptionError(
-                f"spill file {path!r} of tensor {tensor.name!r} failed its CRC32 "
-                "check: the payload changed on disk since it was written"
+                f"spill slot of tensor {tensor.name!r} at offset {slot.offset} in "
+                f"{arena.path!r} is short: read {read} of {out.nbytes} bytes"
             )
-        tensor.array = array
-        self._unspill_file(tensor)
+        if zlib.crc32(out) != slot.crc:
+            raise SpillCorruptionError(
+                f"spill slot of tensor {tensor.name!r} at offset {slot.offset} in "
+                f"{arena.path!r} failed its CRC32 check: the payload changed on "
+                "disk since it was written"
+            )
+        tensor.array = out
+        self._release(tensor)
 
-    def _unspill_file(self, tensor: StoredTensor) -> None:
-        if tensor._spill_path is not None and os.path.exists(tensor._spill_path):
-            os.unlink(tensor._spill_path)
-        tensor._spill_path = None
-        tensor._spill_crc = None
+    def _release(self, tensor: StoredTensor) -> None:
+        if tensor._slot is not None:
+            self._arena.release(tensor._slot.offset, tensor._slot.size)
+            tensor._slot = None
+
+    def _check_live(self, tensor: StoredTensor, verb: str) -> None:
+        if self._tensors.get(tensor.name) is not tensor:
+            raise StorageError(
+                f"cannot {verb} tensor {tensor.name!r}: it was dropped "
+                "(or belongs to another manager)"
+            )
 
     def _check_tier(self, tier: str) -> None:
         if tier not in self.tiers:

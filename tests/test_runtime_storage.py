@@ -8,16 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import FaultInjector
 from repro.runtime import (
     GPU,
     HOST,
     NVME,
+    CrossEntropyLoss,
+    GPTModel,
+    RatelOptimizer,
+    SpillCorruptionError,
     StorageError,
     StorageManager,
     TierCapacityError,
+    ratel_hook,
+    ratel_init,
 )
 
 MB = 10**6
+GB = 10**9
+TIERS = (GPU, HOST, NVME)
 
 
 @pytest.fixture
@@ -168,3 +177,85 @@ class TestInvariants:
         assert manager.get("weights").name == "weights"
         with pytest.raises(StorageError):
             manager.get("missing")
+
+
+class TestDroppedTensors:
+    @pytest.mark.parametrize("tier", [GPU, NVME])
+    def test_dropped_tensor_touches_no_tier_or_counter(self, manager, rng, tier):
+        """drop, move and data on a dropped tensor raise; nothing is charged."""
+        live = manager.put("live", rng.normal(size=(1000,)), tier, itemsize=2)
+        dead = manager.put("dead", rng.normal(size=(1000,)), tier, itemsize=2)
+        manager.drop(dead)
+        with pytest.raises(StorageError):
+            manager.drop(dead)
+        for dest in TIERS:
+            with pytest.raises(StorageError):
+                manager.move(dead, dest)
+        with pytest.raises(StorageError):
+            dead.data()
+        assert dead.nbytes == live.nbytes == 2000
+        assert {name: t.used_bytes for name, t in manager.tiers.items()} == {
+            name: 2000 if name == tier else 0 for name in TIERS
+        }
+        assert all(v == 0 for v in manager.moved_bytes.values())
+
+
+class TestArena:
+    def test_corrupt_slot_spares_its_neighbours(self, tmp_path, rng):
+        injector = FaultInjector()
+        manager = StorageManager(
+            10 * MB, 10 * MB, 100 * MB, spill_dir=str(tmp_path), faults=injector
+        )
+        try:
+            originals = [rng.normal(size=(1000,)).astype(np.float32) for _ in range(3)]
+            stored = []
+            for i, original in enumerate(originals):
+                if i == 1:
+                    injector.corrupt_next_write()
+                stored.append(manager.put(f"t{i}", original, NVME, itemsize=4))
+            assert injector.injected_corruptions == 1
+            assert len(os.listdir(tmp_path)) == 1
+            with pytest.raises(SpillCorruptionError):
+                manager.move(stored[1], HOST)
+            for i in (0, 2):
+                manager.move(stored[i], HOST)
+                np.testing.assert_array_equal(stored[i].data(), originals[i])
+        finally:
+            manager.close()
+
+    def test_short_read_is_corruption(self, manager, rng, tmp_path):
+        stored = manager.put("x", rng.normal(size=(1000,)), NVME, itemsize=4)
+        (arena,) = os.listdir(tmp_path)
+        os.truncate(tmp_path / arena, 1000)
+        with pytest.raises(SpillCorruptionError, match="short"):
+            manager.move(stored, HOST)
+        assert stored.tier == NVME
+        assert manager.tiers[HOST].used_bytes == 0
+
+    def test_arena_stops_growing_after_the_first_step(self, tmp_path):
+        """Ten steps with states on NVMe reuse the slots the first step made."""
+        loss_fn = CrossEntropyLoss()
+        ids = np.random.default_rng(0).integers(0, 101, size=(8, 32))
+        targets = np.roll(ids, -1, axis=1)
+        sizes = []
+        with ratel_init(
+            gpu_capacity=GB, host_capacity=GB, nvme_capacity=8 * GB, spill_dir=str(tmp_path)
+        ) as context:
+            model = GPTModel(101, 32, 4, 4, 32, np.random.default_rng(1))
+            runtime = ratel_hook(model)
+            RatelOptimizer(model, runtime, lr=1e-3)
+            for _step in range(10):
+                runtime.train_step(lambda: loss_fn(model(ids), targets))
+                (arena,) = os.listdir(tmp_path)
+                sizes.append(os.path.getsize(tmp_path / arena))
+            peak = context.manager.tiers[NVME].peak_bytes
+        assert sizes == [sizes[0]] * 10
+        assert peak <= sizes[0] < 2 * peak
+
+    def test_close_empties_caller_owned_spill_dir(self, tmp_path, rng):
+        manager = StorageManager(MB, MB, MB, spill_dir=str(tmp_path))
+        for i in range(3):
+            manager.put(f"x{i}", rng.normal(size=(100,)), NVME)
+        manager.close()
+        assert tmp_path.is_dir()
+        assert os.listdir(tmp_path) == []
