@@ -24,7 +24,7 @@ ad-hoc dicts, mirroring how single-point evaluation speaks
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 
@@ -100,8 +100,12 @@ class JobSpec:
             )
 
     def to_payload(self) -> dict[str, Any]:
-        """JSON-serialisable payload; :meth:`from_payload` round-trips it bit-exactly."""
-        return asdict(self)
+        """JSON-serialisable payload; :meth:`from_payload` round-trips it bit-exactly.
+
+        Every field is a scalar, so a shallow ``{name: value}`` map is the
+        whole payload (``dataclasses.asdict`` would deep-copy each one).
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "JobSpec":

@@ -76,6 +76,8 @@ class Node:
         #: the chaos injection or request that caused it.
         self.last_trace_id = ""
         self._monitor: HealthMonitor | None = None
+        #: (provisioned spec, (failed_ssds, bw_sag), the spec derived from them).
+        self._derived: tuple[ServerSpec, tuple[int, float], ServerSpec] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         if not self.alive:
@@ -123,8 +125,18 @@ class Node:
         Deriving a distinct spec (rather than scaling times after the
         fact) keeps evaluation honest and cacheable: the runner's content
         key covers the full server spec, so healthy and degraded
-        evaluations of the same job never collide.
+        evaluations of the same job never collide.  The node derives one
+        spec per state (provisioned spec object, ``failed_ssds``,
+        ``bw_sag``) and returns that same object until ``degrade`` or
+        ``restore`` changes the state.
         """
+        state = (self.failed_ssds, self.bw_sag)
+        derived = self._derived
+        if derived is None or derived[0] is not self.server or derived[1] != state:
+            derived = self._derived = (self.server, state, self._derive())
+        return derived[2]
+
+    def _derive(self) -> ServerSpec:
         server = self.server
         if self.failed_ssds > 0:
             server = server.with_ssds(self.server.n_ssds - self.failed_ssds)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import datetime as _datetime
 import os
 import subprocess
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.util.jsonl import JsonlFile
@@ -129,7 +129,12 @@ class LedgerEntry:
     # -- serialisation ---------------------------------------------------------
 
     def to_payload(self) -> dict[str, Any]:
-        return asdict(self)
+        """The entry's fields by name, shared rather than deep-copied.
+
+        The payload is encoded straight away by the append path; a deep
+        copy (``dataclasses.asdict``) would serialise to the same line.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "LedgerEntry":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,7 @@ from repro.fleet import (
 from repro.fleet.schedulers import FifoScheduler
 from repro.hardware import evaluation_server
 from repro.obs.ledger import load_ledger
+from repro.runner.keys import same_value
 
 
 class StubOracle:
@@ -208,6 +210,31 @@ class TestFleetLoop:
         assert result.completed and result.node == "n0"
         # 1 full iteration done healthy (30 s each); 9 remain at 36 s.
         assert result.finished_at == pytest.approx(50.0 + 9 * 36.0)
+
+    def test_current_server_is_one_spec_per_state(self):
+        """Same object until degrade/restore moves the state; then a spec
+        equal, field type for field type, to a fresh derivation."""
+        server = evaluation_server(n_ssds=4)
+        node = Node("n0", server, RatelPolicy())
+        assert node.current_server() is server
+        node.degrade(failed_ssds=1, bw_sag=0.5)
+        degraded = node.current_server()
+        assert node.current_server() is degraded
+        expected = server.with_ssds(3)
+        expected = replace(
+            expected,
+            ssd=replace(expected.ssd, read_bw=expected.ssd.read_bw * 0.5,
+                        write_bw=expected.ssd.write_bw * 0.5),
+        )
+        assert same_value(degraded, expected)
+        node.degrade(bw_sag=0.5)  # same state: same spec
+        assert node.current_server() is degraded
+        node.degrade(bw_sag=0.25)
+        sagged = node.current_server()
+        assert sagged is not degraded and sagged.ssd.read_bw == server.ssd.read_bw * 0.25
+        assert sagged.n_ssds == 3
+        node.restore()
+        assert node.current_server() is server
 
     def test_restore_heals_the_node(self):
         fleet = Fleet(stub_nodes(1), "fifo", oracle=StubOracle())

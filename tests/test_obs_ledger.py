@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
+from repro.adapt import drill_outcome
 from repro.core import RatelPolicy
+from repro.fleet import run_bursty_drill
 from repro.hardware import EVALUATION_SERVER
 from repro.models import llm
 from repro.obs.ledger import (
@@ -19,6 +22,7 @@ from repro.obs.ledger import (
     load_ledger,
 )
 from repro.runner import Sweep
+from repro.serve import PlannerService, ServiceConfig
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +187,58 @@ class TestSweepRecording:
         sweep = Sweep(ledger=path)
         sweep.max_batch(RatelPolicy(), llm("13B"), server)
         assert RunLedger(path).entries() == []
+
+
+class TestAppendedBytes:
+    """``to_payload`` shares the entry's fields instead of deep-copying
+    them; every line must still be the JSON of ``asdict(entry)``."""
+
+    def test_every_recording_path_writes_the_asdict_line(self, tmp_path, monkeypatch):
+        appended: list[LedgerEntry] = []
+        to_payload = LedgerEntry.to_payload
+
+        def spy(entry):
+            appended.append(entry)
+            return to_payload(entry)
+
+        monkeypatch.setattr(LedgerEntry, "to_payload", spy)
+        path = str(tmp_path / "ledger.jsonl")
+
+        # A runner record, then fleet decisions.
+        Sweep(ledger=path).evaluate(RatelPolicy(), llm("6B"), 8, EVALUATION_SERVER)
+        run_bursty_drill("sjf", n_jobs=6, ledger=path)
+        # Serve decisions and breaker transitions: a backend that fails
+        # until the breaker opens, then answers the half-open probe.
+        clock = {"now": 0.0}
+        failing = {"on": True}
+
+        def backend(query, cancel):
+            if failing["on"]:
+                raise RuntimeError("injected backend crash")
+            return {"feasible": True, "metrics": {"iteration_time": 2.0, "tokens_per_s": 5.0}}
+
+        service = PlannerService(
+            ServiceConfig(
+                rate=100.0, burst=50.0, retry_attempts=1, breaker_threshold=2,
+                breaker_cooldown_s=5.0, cache_dir=str(tmp_path / "cache"),
+                journal_path=str(tmp_path / "journal.jsonl"), ledger_path=path,
+            ),
+            backend=backend, clock=lambda: clock["now"], sleep=lambda _: None,
+        )
+        for _ in range(2):
+            service.handle({"model": "6B", "batch_size": 4})
+        failing["on"], clock["now"] = False, 5.0
+        service.handle({"model": "6B", "batch_size": 4})
+        service.close()
+        # Adapt decisions.
+        drill_outcome(ledger=RunLedger(path))
+
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == len(appended)
+        assert {(e.kind, e.source) for e in appended} >= {
+            ("evaluate", "runner"), ("fleet", "fleet"), ("serve", "breaker"),
+            ("serve", "sim"), ("adapt", "adapt-controller"),
+        }
+        for line, entry in zip(lines, appended):
+            assert line == json.dumps(asdict(entry), sort_keys=True)
