@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # The planner service's canary: the daemon must boot and answer a
-# real what-if query over HTTP, and the chaos drill (flood, backend
-# crash, wedged workers, corrupt cache, kill -9 + restart) must meet
-# every SLO — zero violations, explicit shedding only, journal
-# accounting balanced.  The drill's scorecard and the service's
-# decision ledger are uploaded for audit.
+# real what-if query over HTTP from the store a sweep filled, and the
+# chaos drill (flood, backend crash, wedged workers, corrupt cache,
+# kill -9 + restart) must meet every SLO — zero violations, explicit
+# shedding only, journal accounting balanced.  The drill's scorecard
+# and the service's decision ledger are uploaded for audit.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 export PYTHONPATH=src
+
+# fill the store from a sweep (a second process): the daemon must answer
+# that point from it without simulating.  The sweep's server defaults
+# (4090, 768 GiB, 12 SSDs) are WhatIfQuery's, so both compute one key.
+python -m repro sweep --models 13B --batches 8 --systems ratel --cache-dir serve-cache
 
 # boot the daemon and answer a what-if query over HTTP
 python -m repro serve --port 8787 --cache-dir serve-cache \
@@ -30,6 +35,7 @@ import json
 answer = json.load(open("whatif.json"))
 assert answer["status"] == 200, answer
 assert answer["rung"] == "exact", answer
+assert answer["source"] == "cache", answer  # the sweep's entry, not a fresh sim
 assert answer["feasible"] is True, answer
 print(f"13B b8: {answer['metrics']['tokens_per_s']:.0f} tokens/s")
 EOF_CHECK

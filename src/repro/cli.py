@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-dir", default=".serve-cache",
-        help="plan cache directory (default: .serve-cache)",
+        help="result cache directory, the format `sweep --cache-dir` writes "
+        "(default: .serve-cache)",
     )
     serve.add_argument(
         "--journal", default=None, metavar="PATH",

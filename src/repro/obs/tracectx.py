@@ -1,6 +1,6 @@
 """Causal trace context: one request identity across every layer.
 
-PRs 6-8 grew three request paths (serve HTTP → plan cache → sweep pool;
+PRs 6-8 grew three request paths (serve HTTP → result cache → sweep pool;
 fleet job → oracle → node sim; adapt drift → replan) with no shared
 identity, so a slow or degraded answer could not be followed across
 layers.  :class:`TraceContext` is that identity: a W3C-trace-context

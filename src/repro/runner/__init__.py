@@ -4,9 +4,10 @@ The experiments, benchmarks and CLI all funnel their (policy, model,
 batch, server) evaluation points through this package:
 
 * :class:`Sweep` — the orchestrator: content-keyed memoization
-  (:class:`ResultCache`: in-memory LRU + optional on-disk JSON store
-  under ``.repro_cache/``), serial/process-pool fan-out with ordered
-  results, and a progress hook.
+  (:class:`ResultCache`: in-memory LRU + optional CRC32-checked
+  on-disk JSON store under ``.repro_cache/``, which ``repro serve``
+  answers from too), serial/process-pool fan-out with ordered results,
+  and a progress hook.
 * :class:`SweepPoint` — one memoizable query (``evaluate``,
   ``max_trainable``, ``max_batch``, ``max_global_batch``,
   ``data_parallel``).
@@ -29,7 +30,7 @@ Example::
     [o.tokens_per_s for o in outcomes]
 """
 
-from .cache import CACHE_VERSION, CacheStats, ResultCache
+from .cache import CACHE_VERSION, CacheStats, ResultCache, decode_value, encode_value
 from .keys import CacheKeyError, cache_key, describe
 from .options import RunOptions, run_options_parent
 from .sweep import (
@@ -51,6 +52,8 @@ __all__ = [
     "CACHE_VERSION",
     "CacheStats",
     "ResultCache",
+    "decode_value",
+    "encode_value",
     "CacheKeyError",
     "cache_key",
     "describe",

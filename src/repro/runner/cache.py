@@ -1,34 +1,71 @@
-"""Plan/result caching for the sweep runner.
+"""The content-keyed result store of the sweep runner and the planner service.
 
 Two layers share one content key space (:func:`repro.runner.keys.cache_key`):
 
 * an **in-memory LRU** holding live Python objects — including full
   :class:`~repro.core.engine.IterationResult` traces — for hits within
   one process;
-* an optional **on-disk JSON store** (default layout
-  ``.repro_cache/<k[:2]>/<key>.json``) holding the serialisable payload
-  envelope, for hits across processes and sessions.
+* an optional **on-disk JSON store** (layout
+  ``<disk_dir>/<k[:2]>/<key>.json``; ``repro sweep`` conventionally uses
+  ``.repro_cache/``, ``repro serve`` ``.serve-cache/``) holding the
+  serialisable payload, for hits across processes and sessions.  Both
+  CLIs encode values with :func:`encode_value` and decode them with
+  :func:`decode_value`, so either can read the other's directory.
 
-Disk writes are atomic (temp file + ``os.replace``); unreadable or
-version-mismatched entries count as misses and are discarded.  All
-bookkeeping is thread-safe, so one cache can back concurrent callers.
+Each disk entry is ``{version, key, crc32, payload}``, written through a
+temp file, ``fsync`` and ``os.replace``, so a reader never sees half an
+entry and a crash mid-write leaves the previous one intact.  Every read
+checks the CRC32: a torn, bit-flipped or hand-edited entry is moved
+aside as ``<key>.json.corrupt``, counted in :attr:`CacheStats.corrupt`
+and read as a miss, never served.  An entry of another
+:data:`CACHE_VERSION` is a plain miss, replaced by the next store.
+
+:meth:`ResultCache.get_or_compute` is single-flight: when N threads miss
+on one key, one computes while the rest wait for its result, and a
+failed compute hands the flight to a waiter instead of stranding the
+key.  All bookkeeping is thread-safe, so one cache can back concurrent
+callers.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-#: Bump when the payload schema changes; old entries then read as misses.
-CACHE_VERSION = 1
+from repro.core.evaluation import EvalOutcome
+
+logger = logging.getLogger("repro.runner.cache")
+
+#: Bump when the entry schema changes; old entries then read as misses.
+CACHE_VERSION = 2
 
 #: Layer tags reported by :meth:`ResultCache.get`.
 MEMORY, DISK = "memory", "disk"
+
+
+def _checksum(payload: dict[str, Any]) -> int:
+    return zlib.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
+
+
+def encode_value(value: Any) -> dict[str, Any]:
+    """The JSON payload stored for a computed point value."""
+    if isinstance(value, EvalOutcome):
+        return {"type": "outcome", "value": value.to_payload()}
+    return {"type": "scalar", "value": value}
+
+
+def decode_value(payload: dict[str, Any]) -> Any:
+    """Rebuild a point value from its :func:`encode_value` payload."""
+    if payload.get("type") == "outcome":
+        return EvalOutcome.from_payload(payload["value"])
+    return payload.get("value")
 
 
 @dataclass
@@ -39,6 +76,8 @@ class CacheStats:
     misses: int = 0
     disk_hits: int = 0
     stores: int = 0
+    #: Damaged disk entries moved aside (each also reads as a miss).
+    corrupt: int = 0
 
     @property
     def lookups(self) -> int:
@@ -64,6 +103,7 @@ class ResultCache:
             raise ValueError("cache maxsize must be positive")
         self._lru: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.RLock()
+        self._inflight: dict[str, threading.Event] = {}
         self._dir = Path(self.disk_dir) if self.disk_dir is not None else None
 
     def __len__(self) -> int:
@@ -75,7 +115,7 @@ class ResultCache:
         """Look up ``key``; returns ``(layer, value)`` or ``None``.
 
         The memory layer yields the stored live object; the disk layer
-        yields the JSON payload envelope (callers decode and usually
+        yields the JSON payload (callers decode and usually
         :meth:`promote` the result).
         """
         with self._lock:
@@ -92,12 +132,60 @@ class ResultCache:
             self.stats.misses += 1
             return None
 
+    def get_or_compute(
+        self,
+        key: str,
+        compute: Callable[[], dict[str, Any]],
+        *,
+        wait_timeout_s: float | None = None,
+    ) -> dict[str, Any]:
+        """The payload for ``key``, computing it at most once at a time.
+
+        For values that are their own JSON payload: ``compute`` returns
+        one, and it is stored in both layers.  A compute that raises
+        stores nothing and propagates; its waiters retry, and one of
+        them takes the flight over.  ``wait_timeout_s`` bounds each wait
+        (``TimeoutError``), so a wedged computer cannot strand its
+        waiters past their deadline.  The lookups made here count as
+        neither hit nor miss: only a caller's :meth:`get` does.
+        """
+        while True:
+            found = self._peek(key)
+            if found is not None:
+                return found
+            with self._lock:
+                flight = self._inflight.get(key)
+                mine = flight is None
+                if mine:
+                    flight = self._inflight[key] = threading.Event()
+            if not mine:
+                if not flight.wait(wait_timeout_s):
+                    raise TimeoutError(f"timed out waiting for in-flight compute of {key}")
+                continue  # usually a hit now; after a crash, claim the flight
+            try:
+                # Another flight may have landed between the miss and the claim.
+                found = self._peek(key)
+                if found is None:
+                    found = compute()
+                    self.put(key, found, found)
+                return found
+            finally:
+                with self._lock:
+                    del self._inflight[key]
+                flight.set()
+
+    def _peek(self, key: str) -> Any:
+        with self._lock:
+            if key in self._lru:
+                return self._lru[key]
+        return self._disk_read(key)
+
     # -- stores ----------------------------------------------------------------
 
     def put(self, key: str, live: Any, payload: dict[str, Any] | None = None) -> None:
         """Store a freshly computed value in both layers.
 
-        ``payload`` is the JSON envelope for the disk store; omit it to
+        ``payload`` is the JSON payload for the disk store; omit it to
         keep the entry memory-only.
         """
         with self._lock:
@@ -123,52 +211,69 @@ class ResultCache:
             self._lru.clear()
         if disk and self._dir is not None and self._dir.is_dir():
             for path in self._dir.glob("*/*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                self._discard(path)
 
     # -- disk layer ------------------------------------------------------------
 
     def _path(self, key: str) -> Path | None:
         if self._dir is None:
             return None
-        return self._dir / key[:2] / f"{key}.json"
+        # No key may name a path outside the root.
+        safe = "".join(c for c in key if c.isalnum() or c in "-_")
+        return self._dir / safe[:2] / f"{safe}.json"
 
     def _disk_read(self, key: str) -> dict[str, Any] | None:
         path = self._path(key)
-        if path is None or not path.is_file():
+        if path is None:
             return None
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 envelope = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self._discard(path)
+        except FileNotFoundError:
             return None
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            return self._quarantine(path, "unreadable")
+        if not isinstance(envelope, dict):
+            return self._quarantine(path, "not an entry")
+        if envelope.get("version", CACHE_VERSION) != CACHE_VERSION:
+            return None  # another schema's entry, not damage: the next store replaces it
+        payload = envelope.get("payload")
         if (
-            not isinstance(envelope, dict)
-            or envelope.get("version") != CACHE_VERSION
-            or envelope.get("key") != key
+            envelope.get("key") != key
+            or not isinstance(payload, dict)
+            or envelope.get("crc32") != _checksum(payload)
         ):
-            self._discard(path)
-            return None
-        return envelope
+            return self._quarantine(path, "checksum mismatch")
+        return payload
 
     def _disk_write(self, key: str, payload: dict[str, Any]) -> None:
         path = self._path(key)
         if path is None:
             return
-        envelope = dict(payload)
-        envelope["version"] = CACHE_VERSION
-        envelope["key"] = key
+        # dumps, not dump: only the one-shot encoder runs in C.
+        text = json.dumps(
+            {"version": CACHE_VERSION, "key": key, "crc32": _checksum(payload), "payload": payload}
+        )
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            with open(tmp, "w") as handle:
-                json.dump(envelope, handle)
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         except OSError:
             self._discard(tmp)
+
+    def _quarantine(self, path: Path, why: str) -> None:
+        """Move a damaged entry aside (a miss, loudly) so it is recomputed."""
+        with self._lock:
+            self.stats.corrupt += 1
+        logger.warning("cache entry %s is corrupt (%s); moved aside", path, why)
+        try:
+            os.replace(path, path.with_name(f"{path.name}.corrupt"))
+        except OSError:  # a racing reader moved it first
+            pass
 
     @staticmethod
     def _discard(path: Path) -> None:

@@ -57,7 +57,7 @@ from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry, RegistrySnapshot
 from repro.util.backoff import BackoffPolicy
 
-from .cache import DISK, ResultCache
+from .cache import DISK, ResultCache, decode_value, encode_value
 from .keys import cache_key, memo_token, same_value
 
 logger = logging.getLogger("repro.runner")
@@ -326,20 +326,6 @@ def _compute_data_parallel(point: SweepPoint) -> EvalOutcome:
     )
 
 
-def _encode(value: Any) -> dict[str, Any]:
-    """JSON payload envelope for a computed point value."""
-    if isinstance(value, EvalOutcome):
-        return {"type": "outcome", "value": value.to_payload()}
-    return {"type": "scalar", "value": value}
-
-
-def _decode(envelope: dict[str, Any]) -> Any:
-    """Rebuild a point value from its payload envelope."""
-    if envelope.get("type") == "outcome":
-        return EvalOutcome.from_payload(envelope["value"])
-    return envelope.get("value")
-
-
 def _pool_compute(
     point: SweepPoint, trace_payload: dict[str, Any] | None = None
 ) -> dict[str, Any]:
@@ -366,7 +352,7 @@ def _pool_compute(
     with tracectx.activate(ctx) if ctx is not None else contextlib.nullcontext():
         registry = MetricsRegistry()
         started = time.perf_counter()
-        envelope = _encode(compute_point(point))
+        envelope = encode_value(compute_point(point))
         registry.counter("worker_points_total").inc(kind=point.kind)
         registry.histogram("worker_compute_seconds").observe(
             time.perf_counter() - started, kind=point.kind
@@ -419,7 +405,6 @@ class Sweep:
 
     executor: str = "serial"
     max_workers: int | None = None
-    cache: ResultCache = None  # type: ignore[assignment]
     cache_dir: str | None = None
     progress: ProgressHook | None = None
     retries: int = 0
@@ -449,8 +434,7 @@ class Sweep:
             max_attempts=self.retries + 1,
             jitter="none",
         )
-        if self.cache is None:
-            self.cache = ResultCache(disk_dir=self.cache_dir)
+        self.cache = ResultCache(disk_dir=self.cache_dir)
         if self.registry is None:
             self.registry = MetricsRegistry()
         if isinstance(self.ledger, str):
@@ -490,7 +474,7 @@ class Sweep:
         if detail and isinstance(outcome, EvalOutcome) and outcome.result is None:
             if outcome.feasible or simulate_infeasible:
                 outcome = compute_point(point)
-                self.cache.put(point.key(), outcome, _encode(outcome))
+                self.cache.put(point.key(), outcome, encode_value(outcome))
         return outcome
 
     def max_trainable(
@@ -528,7 +512,7 @@ class Sweep:
         started = time.perf_counter()
         value = self._compute_resilient(point)
         if not isinstance(value, PointFailure):
-            self.cache.put(key, value, _encode(value))
+            self.cache.put(key, value, encode_value(value))
             self._record_ledger(point, value, key=key)
         logger.debug(
             "computed %s in %.3fs", point.label(), time.perf_counter() - started
@@ -672,7 +656,7 @@ class Sweep:
             if isinstance(value, PointFailure):
                 self._resolve(key, value, pending, unique, results, total, started)
                 continue
-            self.cache.put(key, value, _encode(value))
+            self.cache.put(key, value, encode_value(value))
             self._record_ledger(point, value, key=key)
             self._resolve(key, value, pending, unique, results, total, started)
 
@@ -831,7 +815,7 @@ class Sweep:
                                 trace_id=(worker_trace or {}).get("trace_id", ""),
                             )
                         )
-                    value = _decode(envelope)
+                    value = decode_value(envelope)
                     self.cache.put(key, value, envelope)
                     self._record_ledger(unique[key], value, key=key)
                     self._resolve(key, value, pending, unique, results, total, started)
@@ -851,7 +835,7 @@ class Sweep:
             return _MISS
         layer, stored = hit
         if layer == DISK:
-            stored = _decode(stored)
+            stored = decode_value(stored)
             self.cache.promote(key, stored)
         if isinstance(stored, EvalOutcome):
             # A copy, not in-place mutation: the stored outcome keeps

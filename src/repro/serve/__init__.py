@@ -3,8 +3,10 @@
 Answers capacity questions — "would this model/batch/hardware combo be
 feasible, and at what iteration time?" — over HTTP without re-running
 the full planning stack per request.  The answer pipeline consults the
-run ledger first, then a concurrency-safe on-disk plan cache, and only
-simulates on a miss, inside a bounded worker pool.
+run ledger first, then the runner's checksummed on-disk
+:class:`~repro.runner.ResultCache` (whose entries ``repro sweep
+--cache-dir`` writes too), and only simulates on a miss, single-flight,
+inside a bounded worker pool.
 
 Every layer is built to degrade loudly instead of failing silently:
 
@@ -16,9 +18,9 @@ Every layer is built to degrade loudly instead of failing silently:
 * :mod:`repro.serve.ladder` — the four-rung answer-degradation ladder
   (exact → cached neighbor → analytic estimate → 503), monotone within
   an overload episode.
-* :mod:`repro.serve.cache` / :mod:`repro.serve.journal` — crash safety:
-  atomic checksummed cache writes and a write-ahead journal of accepted
-  requests, so ``kill -9`` + restart loses and double-runs nothing.
+* :mod:`repro.serve.journal` — crash safety: a write-ahead journal of
+  accepted requests, so ``kill -9`` + restart loses and double-runs
+  nothing (the result cache's writes are atomic and checksummed).
 * :mod:`repro.serve.chaos` — the fault drill that proves all of the
   above under request floods, worker crashes, slow backends and cache
   corruption (scored in ``ext_serve`` / ``bench_serve``).
@@ -26,7 +28,6 @@ Every layer is built to degrade loudly instead of failing silently:
 
 from .admission import AdmissionController, AdmissionDecision, TokenBucket
 from .breaker import BreakerOpen, CircuitBreaker
-from .cache import PlanCache
 from .chaos import ChaosReport, run_chaos_drill
 from .http import PlannerHTTPServer, make_server, run_daemon, start_in_thread
 from .journal import JournalAccounting, RequestJournal
@@ -46,7 +47,6 @@ __all__ = [
     "CircuitBreaker",
     "DegradationLadder",
     "JournalAccounting",
-    "PlanCache",
     "PlannerHTTPServer",
     "PlannerService",
     "RUNGS",

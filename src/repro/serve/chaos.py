@@ -25,12 +25,14 @@ and the ``serve-smoke`` CI job fails on any violation.
 
 from __future__ import annotations
 
+import glob
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import EvalOutcome
 from repro.fleet.api import percentile
 
 from .journal import RequestJournal
@@ -68,13 +70,17 @@ class ChaosBackend:
             raise TimeoutError("cancelled before compute")
         base = {"6B": 2.0, "13B": 8.0, "30B": 30.0}.get(query.model, 5.0)
         iteration_time = base * (1 + query.batch_size / 64)
-        return {
-            "feasible": True,
-            "metrics": {
+        return EvalOutcome(
+            policy=query.policy,
+            model=query.model,
+            batch_size=query.batch_size,
+            server=query.server().name,
+            feasible=True,
+            metrics={
                 "iteration_time": iteration_time,
                 "tokens_per_s": 4096 * query.batch_size / iteration_time,
             },
-        }
+        ).to_payload()
 
 
 @dataclass
@@ -277,12 +283,8 @@ def run_chaos_drill(root: str, *, seed: int = 0) -> ChaosReport:
         report.violations.append("recover: no exact answers after recovery")
 
     # Corrupt-cache injection: a flipped byte must be detected, not served.
-    corrupt_before = service.cache.corrupt
-    cache_files = [
-        os.path.join(config.cache_dir, name)
-        for name in sorted(os.listdir(config.cache_dir))
-        if name.endswith(".json")
-    ]
+    corrupt_before = service.cache.stats.corrupt
+    cache_files = sorted(glob.glob(os.path.join(config.cache_dir, "*", "*.json")))
     if cache_files:
         offset = max(0, os.path.getsize(cache_files[0]) // 2)
         with open(cache_files[0], "r+b") as handle:
@@ -290,15 +292,17 @@ def run_chaos_drill(root: str, *, seed: int = 0) -> ChaosReport:
             byte = handle.read(1) or b"\0"
             handle.seek(offset)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        # The cache file name is the content key; read it back directly —
-        # the CRC envelope must turn the damage into a miss, not an answer.
+        # The cache file name is the content key; drop the memory layer
+        # (as a restart would) and read it back from disk — the CRC
+        # envelope must turn the damage into a miss, not an answer.
         corrupt_key = os.path.basename(cache_files[0])[: -len(".json")]
+        service.cache.clear()
         if service.cache.get(corrupt_key) is not None:
             report.violations.append("corrupt-cache: damaged entry was served")
         probe = service.handle({"model": "6B", "batch_size": 4})
         if probe.status != 200:
             report.violations.append("corrupt-cache: request failed instead of healing")
-    report.cache_corrupt_detected = service.cache.corrupt - corrupt_before
+    report.cache_corrupt_detected = service.cache.stats.corrupt - corrupt_before
 
     # Phase 6: restart — simulate kill -9 (torn journal tail) + recovery.
     orphan = PhaseStats("restart")

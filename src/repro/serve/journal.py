@@ -9,7 +9,7 @@ The mechanism is the oldest one there is — journal first, work second:
   answer's content key travels with the record);
 * on restart, :meth:`recover` folds the journal: every ``accepted``
   without a terminal record is an orphan the crash interrupted, and the
-  service replays it — against the plan cache first, so a request whose
+  service replays it — against the result cache first, so a request whose
   answer already landed is *marked* done, not recomputed (no double
   run).
 

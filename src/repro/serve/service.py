@@ -13,11 +13,13 @@ One request flows:
    the WAL before work starts; a terminal record follows the answer.
 3. **Answer**, down the ladder (:mod:`.ladder`):
 
-   * *exact* — run-ledger hit by content key, then plan-cache hit
-     (single-flight), then a fresh simulation on the bounded worker
-     pool, under the request deadline with cooperative cancellation and
-     jittered retries (:mod:`repro.util.backoff`), behind the circuit
-     breaker (:mod:`.breaker`);
+   * *exact* — run-ledger hit by content key, then a hit in the
+     runner's :class:`~repro.runner.ResultCache` (a directory that
+     ``repro sweep --cache-dir`` filled answers too), then a fresh
+     single-flight simulation on the bounded worker pool, under the
+     request deadline with cooperative cancellation and jittered
+     retries (:mod:`repro.util.backoff`), behind the circuit breaker
+     (:mod:`.breaker`);
    * *neighbor* — nearest previously answered point (same
      policy/model/server, closest batch), tagged stale;
    * *analytic* — Eqs. 1-8 closed form, no simulation;
@@ -39,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.core import RatelPolicy
+from repro.core import EvalOutcome, RatelPolicy
 from repro.core.hwprofile import ProfilingError
 from repro.core.iteration_model import IterationTimeModel
 from repro.hardware import GiB, RTX_3090, RTX_4080, RTX_4090, evaluation_server
@@ -48,13 +50,12 @@ from repro.models.config import llm
 from repro.obs import tracectx
 from repro.obs.ledger import LedgerEntry, RunLedger, hardware_payload
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import SweepPoint
+from repro.runner import ResultCache, SweepPoint, decode_value, encode_value
 from repro.runner.sweep import compute_point
 from repro.util.backoff import BackoffPolicy, retry_call
 
 from .admission import AdmissionController
 from .breaker import BreakerTransition, CircuitBreaker
-from .cache import PlanCache
 from .journal import RequestJournal
 from .ladder import DegradationLadder, rung_index, rung_name
 
@@ -263,8 +264,10 @@ class ServiceConfig:
 
 #: A backend computes the exact answer for a query.  It receives the
 #: cancellation event (set when the request's deadline expires — check
-#: it between phases) and must return an ``EvalOutcome``-shaped metrics
-#: payload (see :func:`simulate_backend`).
+#: it between phases) and must return an ``EvalOutcome`` payload
+#: (:meth:`~repro.core.evaluation.EvalOutcome.to_payload`).  The service
+#: rebuilds the outcome before storing it, so a partial payload fails
+#: the exact rung instead of reaching the shared store.
 Backend = Callable[[WhatIfQuery, threading.Event], dict[str, Any]]
 
 
@@ -282,14 +285,7 @@ def simulate_backend(query: WhatIfQuery, cancel: threading.Event) -> dict[str, A
     outcome = compute_point(point)
     if cancel.is_set():
         raise TimeoutError("cancelled during simulation")
-    return _payload_from_outcome(outcome)
-
-
-def _payload_from_outcome(outcome: Any) -> dict[str, Any]:
-    return {
-        "feasible": bool(outcome.feasible),
-        "metrics": dict(outcome.metrics),
-    }
+    return outcome.to_payload()
 
 
 class _AnswerIndex:
@@ -309,7 +305,7 @@ class _AnswerIndex:
         feasible: bool,
         metrics: dict[str, Any],
         timestamp: str = "",
-    ) -> None:
+    ) -> dict[str, Any]:
         record = {
             "key": key,
             "batch_size": batch_size,
@@ -320,6 +316,7 @@ class _AnswerIndex:
         with self._lock:
             self._exact[key] = record
             self._groups.setdefault(group, {})[batch_size] = record
+        return record
 
     def exact(self, key: str) -> dict[str, Any] | None:
         with self._lock:
@@ -373,7 +370,7 @@ class PlannerService:
             on_transition=self._on_breaker_transition,
         )
         self.ladder = DegradationLadder()
-        self.cache = PlanCache(self.config.cache_dir)
+        self.cache = ResultCache(disk_dir=self.config.cache_dir)
         self.journal = RequestJournal(self.config.journal_path)
         self.ledger = (
             RunLedger(self.config.ledger_path, fsync=True)
@@ -599,21 +596,18 @@ class PlannerService:
         """Ledger → cache → simulate; None + reason when the rung fails."""
         indexed = self.index.exact(key)
         if indexed is not None:
-            return (
-                self._exact_response(query, key, request_id, indexed, "ledger"),
-                "",
-            )
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._remember(query, key, cached)
-            return self._exact_response(query, key, request_id, cached, "cache"), ""
+            return self._exact_response(key, request_id, indexed, "ledger"), ""
+        hit = self.cache.get(key)
+        if hit is not None:
+            answer = self._remember(query, key, decode_value(hit[1]))
+            return self._exact_response(key, request_id, answer, "cache"), ""
         if deadline.expired():
             return None, "deadline exhausted before simulation"
         if not self.breaker.allow():
             self.ladder.escalate(rung_index("neighbor"))
             return None, "circuit breaker open"
         try:
-            payload = self._simulate(query, deadline)
+            outcome = self._simulate(query, deadline)
         except TimeoutError as exc:
             self.breaker.record_failure(str(exc))
             self._escalate_if_breaker_open()
@@ -628,15 +622,18 @@ class PlannerService:
         if self.ladder.degraded and self.breaker.state == "closed":
             if self.ladder.reset():
                 logger.info("breaker closed; overload episode ended")
-        self._remember(query, key, payload)
-        return self._exact_response(query, key, request_id, payload, "sim"), ""
+        answer = self._remember(query, key, outcome)
+        return self._exact_response(key, request_id, answer, "sim"), ""
 
-    def _simulate(self, query: WhatIfQuery, deadline: Deadline) -> dict[str, Any]:
+    def _simulate(self, query: WhatIfQuery, deadline: Deadline) -> EvalOutcome:
         """One simulation on the pool: single-flight, deadline, retries.
 
-        Deadline expiry raises a private exception class so the shared
-        retry helper never mistakes it for a transient backend error
-        (``TimeoutError`` *is* an ``OSError``, which we do retry).
+        The answer is stored through the runner's
+        :func:`~repro.runner.encode_value`, so a sweep over the same
+        directory reads it too.  Deadline expiry raises a private
+        exception class so the shared retry helper never mistakes it
+        for a transient backend error (``TimeoutError`` *is* an
+        ``OSError``, which we do retry).
         """
 
         def compute() -> dict[str, Any]:
@@ -667,7 +664,7 @@ class PlannerService:
                         f"no result within {deadline.budget_s:.3f}s"
                     ) from None
 
-            return retry_call(
+            payload = retry_call(
                 run_once,
                 policy=self._retry,
                 what=f"simulate {query.label()}",
@@ -675,14 +672,15 @@ class PlannerService:
                 sleep=self._sleep,
                 rng=self._rng,
             )
+            return encode_value(EvalOutcome.from_payload(payload))
 
         try:
-            payload, _how = self.cache.get_or_compute(
+            entry = self.cache.get_or_compute(
                 query.key(), compute, wait_timeout_s=max(deadline.remaining(), 0.001)
             )
         except _DeadlineExceeded as exc:
             raise TimeoutError(str(exc)) from None
-        return payload
+        return decode_value(entry)
 
     def _try_neighbor(
         self,
@@ -749,12 +747,7 @@ class PlannerService:
     # -- plumbing --------------------------------------------------------------
 
     def _exact_response(
-        self,
-        query: WhatIfQuery,
-        key: str,
-        request_id: str,
-        payload: dict[str, Any],
-        source: str,
+        self, key: str, request_id: str, answer: dict[str, Any], source: str
     ) -> ServeResponse:
         return ServeResponse(
             status=200,
@@ -762,17 +755,18 @@ class PlannerService:
             source=source,
             request_id=request_id,
             key=key,
-            feasible=bool(payload["feasible"]),
-            metrics=dict(payload.get("metrics", {})),
+            feasible=bool(answer["feasible"]),
+            metrics=dict(answer["metrics"]),
         )
 
-    def _remember(self, query: WhatIfQuery, key: str, payload: dict[str, Any]) -> None:
-        self.index.add(
+    def _remember(self, query: WhatIfQuery, key: str, outcome: EvalOutcome) -> dict[str, Any]:
+        """Index an exact answer (for later exact and neighbor hits)."""
+        return self.index.add(
             key=key,
             group=query.group,
             batch_size=query.batch_size,
-            feasible=bool(payload.get("feasible")),
-            metrics=dict(payload.get("metrics", {})),
+            feasible=bool(outcome.feasible),
+            metrics=dict(outcome.metrics),
         )
 
     def _escalate_if_breaker_open(self) -> None:
@@ -880,17 +874,9 @@ class PlannerService:
             iteration_time = entry.metrics.get("iteration_time")
             if iteration_time is None:
                 continue
-            try:
-                group = (
-                    entry.policy,
-                    entry.model,
-                    entry.server,
-                )
-            except AttributeError:  # pragma: no cover - defensive
-                continue
             self.index.add(
                 key=entry.config_key,
-                group=group,
+                group=(entry.policy, entry.model, entry.server),
                 batch_size=entry.batch_size or 0,
                 feasible=entry.feasible,
                 metrics={
@@ -905,6 +891,7 @@ class PlannerService:
 
     def stats(self) -> dict[str, Any]:
         """A JSON-ready snapshot of the service's health and counters."""
+        cache = self.cache.stats
         return {
             "breaker": self.breaker.state,
             "breaker_transitions": len(self.breaker.transitions),
@@ -913,10 +900,11 @@ class PlannerService:
             "inflight": self._current_inflight(),
             "indexed_answers": len(self.index),
             "cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "computes": self.cache.computes,
-                "corrupt": self.cache.corrupt,
+                "hits": cache.hits,
+                "misses": cache.misses,
+                # every store the service makes is a computed answer
+                "computes": cache.stores,
+                "corrupt": cache.corrupt,
             },
             "shed": {
                 "rate": self.admission.shed_rate,

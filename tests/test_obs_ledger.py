@@ -8,7 +8,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.adapt import drill_outcome
-from repro.core import RatelPolicy
+from repro.core import EvalOutcome, RatelPolicy
 from repro.fleet import run_bursty_drill
 from repro.hardware import EVALUATION_SERVER
 from repro.models import llm
@@ -215,7 +215,11 @@ class TestAppendedBytes:
         def backend(query, cancel):
             if failing["on"]:
                 raise RuntimeError("injected backend crash")
-            return {"feasible": True, "metrics": {"iteration_time": 2.0, "tokens_per_s": 5.0}}
+            return EvalOutcome(
+                policy=query.policy, model=query.model, batch_size=query.batch_size,
+                server=query.gpu, feasible=True,
+                metrics={"iteration_time": 2.0, "tokens_per_s": 5.0},
+            ).to_payload()
 
         service = PlannerService(
             ServiceConfig(

@@ -364,6 +364,24 @@ class TestSweepCaching:
         assert isinstance(outcome, EvalOutcome)
         assert fresh.stats.disk_hits == 0
 
+    def test_edited_disk_entry_is_recomputed(self, tmp_path):
+        """An entry edited into other valid JSON is a miss, never served."""
+        point = SweepPoint.evaluate(RatelPolicy(), CONFIG, 8, SERVER)
+        original = Sweep(cache_dir=str(tmp_path)).run_point(point)
+        (path,) = tmp_path.rglob("*.json")
+        stored = f'"iteration_time": {original.iteration_time!r}'
+        text = path.read_text()
+        assert stored in text
+        path.write_text(
+            text.replace(stored, f'"iteration_time": {2 * original.iteration_time!r}')
+        )
+        fresh = Sweep(cache_dir=str(tmp_path))
+        outcome = fresh.run_point(point)
+        assert outcome.iteration_time == original.iteration_time
+        assert not outcome.cached
+        assert fresh.stats.corrupt == 1
+        assert fresh.stats.disk_hits == 0
+
 
 class TestExecutorEquivalence:
     def _values(self, outcomes):

@@ -16,6 +16,10 @@ import urllib.request
 
 import pytest
 
+from repro.core import EvalOutcome, RatelPolicy
+from repro.hardware import evaluation_server
+from repro.models import llm
+from repro.runner import Sweep, encode_value
 from repro.serve import (
     AdmissionController,
     PlannerService,
@@ -24,6 +28,7 @@ from repro.serve import (
     make_server,
     start_in_thread,
 )
+from repro.serve.chaos import ChaosBackend
 from repro.serve.journal import RequestJournal
 from repro.serve.service import ServeError, analytic_estimate
 
@@ -40,10 +45,14 @@ class FakeClock:
 
 
 def ok_backend(query, cancel):
-    return {
-        "feasible": True,
-        "metrics": {"iteration_time": 2.0, "tokens_per_s": 1000.0 / query.batch_size},
-    }
+    return EvalOutcome(
+        policy=query.policy,
+        model=query.model,
+        batch_size=query.batch_size,
+        server=query.gpu,
+        feasible=True,
+        metrics={"iteration_time": 2.0, "tokens_per_s": 1000.0 / query.batch_size},
+    ).to_payload()
 
 
 def crash_backend(query, cancel):
@@ -134,7 +143,7 @@ class TestServicePipeline:
         assert first.feasible is True
         second = service.handle({"model": "6B", "batch_size": 4})
         assert (second.status, second.rung, second.source) == (200, "exact", "ledger")
-        assert service.cache.computes == 1
+        assert service.cache.stats.stores == 1
         service.close()
 
     def test_malformed_payload_is_a_400_not_an_exception(self, tmp_path, clock):
@@ -172,10 +181,10 @@ class TestServicePipeline:
             assert (response.status, response.rung) == (200, "analytic")
         assert service.breaker.state == "open"
         # While open the backend is never touched: still analytic.
-        calls_before = service.cache.computes
+        calls_before = service.cache.stats.stores
         response = service.handle({"model": "6B", "batch_size": 4})
         assert (response.status, response.rung) == (200, "analytic")
-        assert service.cache.computes == calls_before
+        assert service.cache.stats.stores == calls_before
         # Cooldown + healthy backend: the half-open probe restores exact.
         backend["mode"] = "ok"
         clock.advance(5.0)
@@ -197,22 +206,84 @@ class TestServicePipeline:
         assert stats["inflight"] == 0
         service.close()
 
+    def test_one_simulated_request_counts_one_miss(self, tmp_path, clock):
+        service = make_service(tmp_path, clock)
+        response = service.handle({"model": "6B", "batch_size": 4})
+        assert response.source == "sim"
+        # The exact rung's own lookup is the only one counted: the
+        # single-flight re-checks around the simulation are not.
+        assert service.stats()["cache"] == {
+            "hits": 0, "misses": 1, "computes": 1, "corrupt": 0,
+        }
+        service.close()
+
+    def test_answers_a_point_a_sweep_stored(self, tmp_path, clock):
+        # `repro sweep --cache-dir D` and `repro serve --cache-dir D`
+        # share one store: the sweep's answer is served, not recomputed.
+        outcome = Sweep(cache_dir=str(tmp_path / "cache")).evaluate(
+            RatelPolicy(), llm("13B"), 8, evaluation_server()
+        )
+        calls = []
+
+        def recording(query, cancel):
+            calls.append(query)
+            return ok_backend(query, cancel)
+
+        service = make_service(tmp_path, clock, backend=recording)
+        response = service.handle({"model": "13B", "batch_size": 8})
+        assert (response.status, response.rung, response.source) == (200, "exact", "cache")
+        assert calls == []
+        assert response.feasible is True
+        assert response.metrics["iteration_time"] == outcome.iteration_time
+        service.close()
+
+    def test_a_sweep_reads_a_point_the_service_stored(self, tmp_path, clock):
+        # The other direction, through the drill's synthetic backend:
+        # what the service stores decodes as the runner's own entry.
+        service = make_service(tmp_path, clock, backend=ChaosBackend())
+        response = service.handle({"model": "13B", "batch_size": 8})
+        assert response.source == "sim"
+        service.close()
+        outcome = Sweep(cache_dir=str(tmp_path / "cache")).evaluate(
+            RatelPolicy(), llm("13B"), 8, evaluation_server()
+        )
+        assert outcome.cached is True
+        assert outcome.iteration_time == response.metrics["iteration_time"]
+
+    def test_a_partial_backend_payload_is_never_stored(self, tmp_path, clock):
+        def partial(query, cancel):
+            return {"feasible": True, "metrics": {"iteration_time": 2.0}}
+
+        service = make_service(tmp_path, clock, backend=partial)
+        response = service.handle({"model": "6B", "batch_size": 4})
+        assert (response.status, response.rung) == (200, "analytic")
+        assert service.stats()["cache"]["computes"] == 0
+        assert list((tmp_path / "cache").rglob("*.json")) == []
+        service.close()
+
 
 class TestRecovery:
     def test_orphan_replays_against_cache_without_double_run(self, tmp_path, clock):
         service = make_service(tmp_path, clock)
         query = WhatIfQuery(model="6B", batch_size=4)
-        answer = {"feasible": True, "metrics": {"iteration_time": 2.0}}
-        service.cache.put(query.key(), answer)
+        # Stored on disk as the service itself stores answers.
+        entry = encode_value(EvalOutcome.from_payload(ok_backend(query, None)))
+        service.cache.put(query.key(), entry, entry)
         # Accepted before the crash, never terminated: an orphan.
         service.journal.accepted("orphan-1", query.to_payload(), query.key())
         service.close()
 
+        # Recorded, not raised: the exact rung contains backend errors,
+        # so a raising stub would only degrade the answer unseen.
+        calls = []
+
         def never(query, cancel):
-            raise AssertionError("replay must hit the cache, not the backend")
+            calls.append(query)
+            return ok_backend(query, cancel)
 
         restarted = make_service(tmp_path, clock, backend=never)
         assert restarted.recover() == 1
+        assert calls == [], "replay must hit the cache, not the backend"
         accounting = RequestJournal(restarted.config.journal_path).fold()
         assert accounting.orphans == []
         assert "orphan-1" in accounting.done
@@ -388,5 +459,5 @@ class TestConcurrentService:
             thread.join()
         assert all(r.status == 200 for r in results)
         assert all(r.rung == "exact" for r in results)
-        assert service.cache.computes == 1, "same key simulated more than once"
+        assert service.cache.stats.stores == 1, "same key simulated more than once"
         service.close()

@@ -1,8 +1,9 @@
-"""The concurrency-safe plan cache (repro.serve.cache).
+"""The result store's disk layer and single-flight compute (repro.runner.cache).
 
-The load-bearing properties: N racing threads never compute the same
-key twice (single-flight), a bit-flipped entry is detected and
-quarantined instead of served, writes are atomic, and a crashed
+The planner service answers from this store, so its load-bearing
+properties are checked here: N racing threads never compute the same
+key twice (single-flight), a bit-flipped or edited entry is detected
+and moved aside instead of served, writes are atomic, and a crashed
 computer hands its flight to a waiter instead of stranding the key.
 """
 
@@ -10,48 +11,70 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 
 import pytest
 
-from repro.serve import PlanCache
+from repro.runner import ResultCache
+from repro.runner.cache import DISK, MEMORY
 
 
 @pytest.fixture
-def cache(tmp_path):
-    return PlanCache(str(tmp_path / "cache"))
+def root(tmp_path):
+    return tmp_path / "cache"
 
 
-PAYLOAD = {"feasible": True, "metrics": {"iteration_time": 12.5}}
+@pytest.fixture
+def cache(root):
+    return ResultCache(disk_dir=root)
+
+
+def reopen(cache):
+    """A second cache over the same directory: every read goes to disk."""
+    return ResultCache(disk_dir=cache.disk_dir)
+
+
+def entry_path(root, key):
+    return root / key[:2] / f"{key}.json"
+
+
+PAYLOAD = {"type": "outcome", "value": {"feasible": True, "metrics": {"iteration_time": 12.5}}}
 
 
 class TestGetPut:
     def test_round_trip(self, cache):
-        cache.put("abc123", PAYLOAD)
-        assert cache.get("abc123") == PAYLOAD
-        assert cache.hits == 1
+        cache.put("abc123", PAYLOAD, PAYLOAD)
+        assert cache.get("abc123") == (MEMORY, PAYLOAD)
+        other = reopen(cache)
+        assert other.get("abc123") == (DISK, PAYLOAD)
+        assert (other.stats.hits, other.stats.disk_hits) == (1, 1)
 
     def test_miss_on_absent_key(self, cache):
         assert cache.get("nope") is None
-        assert cache.misses == 1
+        assert cache.stats.misses == 1
 
-    def test_put_overwrites_atomically(self, cache):
-        cache.put("k", {"v": 1})
-        cache.put("k", {"v": 2})
-        assert cache.get("k") == {"v": 2}
+    def test_put_overwrites_atomically(self, cache, root):
+        cache.put("k", {"v": 1}, {"v": 1})
+        cache.put("k", {"v": 2}, {"v": 2})
+        assert reopen(cache).get("k") == (DISK, {"v": 2})
         # No temp droppings left behind by the atomic replace.
-        leftovers = [n for n in os.listdir(cache.root) if ".tmp." in n]
+        leftovers = [path for path in root.rglob("*") if ".tmp." in path.name]
         assert leftovers == []
 
-    def test_keys_are_sanitised_to_safe_filenames(self, cache):
-        cache.put("../../etc/passwd", {"v": 1})
-        names = os.listdir(cache.root)
-        assert names == ["etcpasswd.json"]
+    def test_keys_are_sanitised_to_safe_filenames(self, cache, tmp_path):
+        cache.put("../../etc/passwd", {"v": 1}, {"v": 1})
+        written = [
+            path.relative_to(tmp_path).as_posix()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        ]
+        assert written == ["cache/et/etcpasswd.json"]
+        assert reopen(cache).get("../../etc/passwd") == (DISK, {"v": 1})
 
 
 class TestCorruption:
-    def _flip_byte(self, cache, key):
-        path = os.path.join(cache.root, f"{key}.json")
+    def _flip_byte(self, path):
         with open(path, "r+b") as handle:
             offset = os.path.getsize(path) // 2
             handle.seek(offset)
@@ -59,31 +82,41 @@ class TestCorruption:
             handle.seek(offset)
             handle.write(bytes([byte[0] ^ 0xFF]))
 
-    def test_flipped_byte_is_a_miss_not_an_answer(self, cache):
-        cache.put("deadbeef", PAYLOAD)
-        self._flip_byte(cache, "deadbeef")
-        assert cache.get("deadbeef") is None
-        assert cache.corrupt == 1
-        # Quarantined aside, so the next get is a clean miss.
-        assert os.path.exists(os.path.join(cache.root, "deadbeef.json.corrupt"))
-        assert cache.get("deadbeef") is None
+    def test_flipped_byte_is_a_miss_not_an_answer(self, cache, root):
+        cache.put("deadbeef", PAYLOAD, PAYLOAD)
+        self._flip_byte(entry_path(root, "deadbeef"))
+        other = reopen(cache)
+        assert other.get("deadbeef") is None
+        assert other.stats.corrupt == 1
+        # Moved aside, so the next get is a clean miss.
+        assert entry_path(root, "deadbeef").with_suffix(".json.corrupt").exists()
+        assert other.get("deadbeef") is None
+        assert (other.stats.corrupt, other.stats.misses) == (1, 2)
 
-    def test_checksum_mismatch_detected(self, cache):
-        cache.put("k", PAYLOAD)
-        path = os.path.join(cache.root, "k.json")
-        envelope = json.load(open(path))
-        envelope["payload"]["metrics"]["iteration_time"] = 1.0  # tampered
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
-        assert cache.get("k") is None
-        assert cache.corrupt == 1
+    def test_checksum_mismatch_detected(self, cache, root):
+        cache.put("k", PAYLOAD, PAYLOAD)
+        path = entry_path(root, "k")
+        envelope = json.loads(path.read_text())
+        envelope["payload"]["value"]["metrics"]["iteration_time"] = 1.0  # tampered
+        path.write_text(json.dumps(envelope))
+        other = reopen(cache)
+        assert other.get("k") is None
+        assert other.stats.corrupt == 1
 
-    def test_non_envelope_json_detected(self, cache):
-        os.makedirs(cache.root, exist_ok=True)
-        with open(os.path.join(cache.root, "k.json"), "w") as handle:
-            handle.write('{"just": "json"}')
+    def test_non_envelope_json_detected(self, cache, root):
+        path = entry_path(root, "k")
+        path.parent.mkdir(parents=True)
+        path.write_text('{"just": "json"}')
         assert cache.get("k") is None
-        assert cache.corrupt == 1
+        assert cache.stats.corrupt == 1
+
+    def test_older_version_is_a_plain_miss(self, cache, root):
+        # The version-1 runner format: the payload inlined, no checksum.
+        path = entry_path(root, "k")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({**PAYLOAD, "version": 1, "key": "k"}))
+        assert cache.get("k") is None
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, 0)
 
 
 class TestSingleFlight:
@@ -105,26 +138,32 @@ class TestSingleFlight:
         def worker(index):
             key = keys[index % len(keys)]
             barrier.wait()
-            payload, how = cache.get_or_compute(
-                key, compute_for(key), wait_timeout_s=10.0
-            )
+            payload = cache.get_or_compute(key, compute_for(key), wait_timeout_s=10.0)
             with lock:
-                results.append((key, payload["key"], how))
+                results.append((key, payload["key"]))
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the check-then-claim as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
 
+        assert not any(thread.is_alive() for thread in threads)
         assert len(results) == n_threads
-        assert all(key == answered for key, answered, _ in results)
+        assert all(key == answered for key, answered in results)
         assert sorted(computed) == sorted(keys), (
             f"single-flight violated: {computed}"
         )
-        assert cache.computes == len(keys)
+        assert cache.stats.stores == len(keys)
+        # Only a caller's get counts: the flight's own lookups do not.
+        assert cache.stats.lookups == 0
 
     def test_waiters_join_the_computers_result(self, cache):
         release = threading.Event()
@@ -135,11 +174,10 @@ class TestSingleFlight:
             release.wait(5.0)
             return dict(PAYLOAD)
 
-        hows = []
+        results = []
 
         def leader():
-            _, how = cache.get_or_compute("k", slow_compute)
-            hows.append(how)
+            results.append(cache.get_or_compute("k", slow_compute))
 
         thread = threading.Thread(target=leader)
         thread.start()
@@ -149,15 +187,17 @@ class TestSingleFlight:
             raise AssertionError("follower must never compute")
 
         follower = threading.Thread(
-            target=lambda: hows.append(
-                cache.get_or_compute("k", follower_compute, wait_timeout_s=5.0)[1]
+            target=lambda: results.append(
+                cache.get_or_compute("k", follower_compute, wait_timeout_s=5.0)
             )
         )
         follower.start()
         release.set()
-        thread.join()
-        follower.join()
-        assert sorted(hows) == ["computed", "joined"]
+        thread.join(timeout=10.0)
+        follower.join(timeout=10.0)
+        assert not (thread.is_alive() or follower.is_alive())
+        assert results == [PAYLOAD, PAYLOAD]
+        assert cache.stats.stores == 1
 
     def test_crashed_computer_hands_over_the_flight(self, cache):
         attempts = []
@@ -170,9 +210,9 @@ class TestSingleFlight:
 
         with pytest.raises(RuntimeError):
             cache.get_or_compute("k", crash_then_succeed)
-        payload, how = cache.get_or_compute("k", crash_then_succeed)
-        assert payload == PAYLOAD
-        assert how == "computed"
+        assert cache.stats.stores == 0  # a failed compute stores nothing
+        assert cache.get_or_compute("k", crash_then_succeed) == PAYLOAD
+        assert cache.stats.stores == 1
         assert len(attempts) == 2
 
     def test_wait_timeout_raises_instead_of_hanging(self, cache):

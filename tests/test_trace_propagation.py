@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.core import RatelPolicy
+from repro.core import EvalOutcome, RatelPolicy
 from repro.hardware import evaluation_server
 from repro.models import llm
 from repro.obs import tracectx
@@ -147,10 +147,14 @@ class TestSweepPoolPropagation:
 
 
 def ok_backend(query, cancel):
-    return {
-        "feasible": True,
-        "metrics": {"iteration_time": 2.0, "tokens_per_s": 1000.0 / query.batch_size},
-    }
+    return EvalOutcome(
+        policy=query.policy,
+        model=query.model,
+        batch_size=query.batch_size,
+        server=query.gpu,
+        feasible=True,
+        metrics={"iteration_time": 2.0, "tokens_per_s": 1000.0 / query.batch_size},
+    ).to_payload()
 
 
 @pytest.fixture(scope="module")
