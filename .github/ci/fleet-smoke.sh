@@ -27,6 +27,14 @@ entries = [
 assert entries, "no fleet decisions in the ledger"
 decisions = {e.metrics["decision"]["decision"] for e in entries}
 assert "requeue" in decisions or "migrate" in decisions
+restores = [
+    e.metrics["decision"] for e in entries
+    if e.metrics["decision"]["decision"] == "restore"
+]
+assert restores, "the standard fault never healed"
+for restore in restores:
+    kinds = [event["kind"] for event in restore["drift"]]
+    assert "drive_restored" in kinds and "bandwidth_sag" not in kinds, kinds
 print(
     f"{moved} migration/requeue decisions, "
     f"{len(entries)} fleet ledger entries"

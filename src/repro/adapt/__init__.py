@@ -10,7 +10,7 @@ package closes the loop at runtime:
 
 * :mod:`~repro.adapt.health` — a :class:`HealthMonitor` folding the
   signals the repo already emits (per-channel effective bandwidths from
-  sim traces / runtime spans, per-stage times vs Algorithm 1's
+  sim traces, per-stage times vs Algorithm 1's
   :class:`~repro.core.iteration_model.IterationEstimate`, storage-layer
   error rates) into EWMA estimates and raising typed ``DriftEvent``s
   past the module's threshold constants;

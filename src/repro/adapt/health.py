@@ -5,9 +5,9 @@ already emits into exponentially-weighted moving averages and compares
 them against what the active plan *assumed*:
 
 * **channel bandwidth** — the effective SSD-array rate achieved by real
-  transfers (from a sim :class:`~repro.sim.trace.Trace` or runtime
-  spans) against the §IV-B profile's ``BW_S2M``/``BW_M2S`` blend for the
-  observed read/write mix;
+  transfers (from a sim :class:`~repro.sim.trace.Trace`) against the
+  harmonic mean of the §IV-B profile's ``BW_S2M`` and ``BW_M2S``, the
+  rate of a balanced read/write mix;
 * **stage time** — measured forward/backward durations against
   Algorithm 1's :class:`~repro.core.iteration_model.IterationEstimate`;
 * **drive count** — surviving drives in the array against the count the
@@ -18,9 +18,10 @@ them against what the active plan *assumed*:
 Crossing one of the module's threshold constants (``BW_RATIO``,
 ``OVERRUN_RATIO``, ``IO_ERROR_RATE``) raises a typed drift event on the
 next :meth:`HealthMonitor.poll`.  The monitor never acts — acting is
-the :class:`~repro.adapt.controller.AdaptiveController`'s job — and it
-is substrate-agnostic: the sim drill, the NumPy runtime hook and the
-tests all feed the same ``observe_*`` surface.
+the :class:`~repro.adapt.controller.AdaptiveController`'s job, and the
+controller (driven by the sim drill) and the tests are what feed its
+``observe_*`` surface.  The NumPy runtime hook keeps its own
+step-time EWMA, and a fleet node reads drift off its own state.
 """
 
 from __future__ import annotations
@@ -216,30 +217,6 @@ def ssd_effective_bandwidth(
     return moved, busy
 
 
-def expected_ssd_bandwidth(
-    hardware: HardwareProfile, read_bytes: float, written_bytes: float
-) -> float:
-    """The profile's effective rate for a read/write traffic mix.
-
-    The simplex array serves ``R`` read bytes at ``BW_S2M`` and ``W``
-    written bytes at ``BW_M2S`` back to back (Eq. 2's note), so the
-    blended rate is ``(R+W) / (R/BW_S2M + W/BW_M2S)``.
-    """
-    total = read_bytes + written_bytes
-    if total <= 0:
-        return 0.0
-    seconds = 0.0
-    if read_bytes > 0:
-        if hardware.bw_s2m <= 0:
-            return 0.0
-        seconds += read_bytes / hardware.bw_s2m
-    if written_bytes > 0:
-        if hardware.bw_m2s <= 0:
-            return 0.0
-        seconds += written_bytes / hardware.bw_m2s
-    return total / seconds
-
-
 # -- the monitor ---------------------------------------------------------------
 
 
@@ -278,14 +255,6 @@ class HealthMonitor:
         ratio = observed_bw / expected_bw
         self._bw_ratio.setdefault(channel, Ewma()).update(ratio)
         self._bw_last[channel] = (observed_bw, expected_bw)
-
-    def observe_ssd(self, read_bytes: float, written_bytes: float, busy_s: float) -> None:
-        """Fold one SSD-array sample from raw transfer counters."""
-        if busy_s <= 0 or read_bytes + written_bytes <= 0:
-            return
-        expected = expected_ssd_bandwidth(self.hardware, read_bytes, written_bytes)
-        observed = (read_bytes + written_bytes) / busy_s
-        self.observe_bandwidth("ssd", observed, expected)
 
     def observe_drives(self, remaining: int) -> None:
         """Record the surviving drive count (events fire on change)."""

@@ -68,6 +68,7 @@ from repro.obs.diff import diff_attributions, diff_entries
 from repro.obs.html import write_run_report
 from repro.obs.ledger import DEFAULT_LEDGER_PATH, LedgerError, RunLedger, load_ledger
 from repro.runner import RunOptions, SweepPoint, run_options_parent
+from repro.runner.options import ledger_arg
 from repro.sim import events_to_trace, write_chrome_trace
 
 _GPUS = {"4090": RTX_4090, "3090": RTX_3090, "4080": RTX_4080}
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     report.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    _ledger_arg(report)
+    ledger_arg(report)
 
     trace = sub.add_parser("trace", help="export a Ratel iteration timeline")
     _server_args(trace)
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--history", type=int, default=20, metavar="N",
         help="embed the newest N ledger entries (default: 20)",
     )
-    _ledger_arg(obs_html, record=False)
+    ledger_arg(obs_html, "read run history from")
 
     obs_profile = obs_sub.add_parser(
         "profile",
@@ -330,14 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="functions to show in the summary table (default: 12)",
     )
     return parser
-
-
-def _ledger_arg(parser: argparse.ArgumentParser, *, record: bool = True) -> None:
-    verb = "append evaluations to" if record else "read run history from"
-    parser.add_argument(
-        "--ledger", metavar="PATH", nargs="?", const=DEFAULT_LEDGER_PATH, default=None,
-        help=f"{verb} a JSONL run ledger (default path: {DEFAULT_LEDGER_PATH})",
-    )
 
 
 def _server_args(parser: argparse.ArgumentParser) -> None:

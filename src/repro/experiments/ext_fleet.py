@@ -19,11 +19,11 @@ whole experiment costs a handful of simulations — and place work where
 the model says it finishes fastest.
 
 The second table is the drift-escalation audit trail from the SJF run:
-the 4090 box loses 10 of 12 drives mid-trace, the node-level
-:class:`~repro.adapt.health.HealthMonitor` reports drive/bandwidth
-drift, and the fleet re-prices the running job on the degraded spec and
-migrates it — the node-to-fleet escalation path, recorded to the run
-ledger as ``kind="fleet"`` decisions.
+the 4090 box loses 10 of 12 drives mid-trace, the node reads the
+drive/bandwidth drift off its new state, and the fleet re-prices the
+running job on the degraded spec and migrates it — the node-to-fleet
+escalation path, recorded to the run ledger as ``kind="fleet"``
+decisions.
 """
 
 from __future__ import annotations

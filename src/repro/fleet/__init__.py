@@ -21,11 +21,12 @@ Quick start::
     outcome = fleet.drain()
     outcome.metrics["p99_latency_s"], outcome.metrics["utilization"]
 
-Node-level drift (``repro.adapt``'s :class:`HealthMonitor`) escalates to
-fleet-level rescheduling: a degraded node's running job is re-priced on
-the degraded spec and requeued/migrated when it blows past the migrate
-threshold, with every decision recorded to the run ledger as a
-``kind="fleet"`` entry.
+Node-level drift escalates to fleet-level rescheduling: a node's
+``degrade``/``restore`` returns the typed ``repro.adapt`` drift events
+its state change raises, and the degraded node's running job is
+re-priced on the degraded spec and requeued/migrated when it blows past
+the migrate threshold, with every decision recorded to the run ledger
+as a ``kind="fleet"`` entry.
 
 Crash safety: pass ``journal=PATH`` and every transition is write-ahead
 logged; after a coordinator crash, :meth:`Fleet.recover` rebuilds the
@@ -59,6 +60,7 @@ from .schedulers import (
     make_scheduler,
 )
 from .trace import (
+    bursty_fleet,
     bursty_trace,
     run_bursty_drill,
     standard_degradations,
@@ -89,6 +91,7 @@ __all__ = [
     "Scheduler",
     "SjfScheduler",
     "make_scheduler",
+    "bursty_fleet",
     "bursty_trace",
     "run_bursty_drill",
     "standard_degradations",

@@ -16,14 +16,14 @@ job's iteration budget, which is exactly the cost-model-as-scheduler
 premise the ISSUE draws from GreedySnake.
 
 **Drift escalation.**  A degradation (``inject``) flows node-first:
-the node's :class:`~repro.adapt.health.HealthMonitor` observes the new
-array state and raises typed drift events; the fleet then re-prices the
-running job on the degraded spec and either lets it continue (re-timed),
-or — past ``migrate_threshold`` or outright infeasibility — preempts
-and requeues it so the scheduler can migrate it to a healthy node.
-Every decision lands in the run ledger as a ``kind="fleet"`` entry, so
-``repro obs diff``/``html`` cover scheduling runs the same way they
-cover evaluations.
+the :class:`~repro.fleet.node.Node` applies the new array state and
+returns the typed drift events that state change raises; the fleet then
+re-prices the running job on the degraded spec and either lets it
+continue (re-timed), or — past ``migrate_threshold`` or outright
+infeasibility — requeues it so the scheduler can migrate it to a
+healthy node.  Every decision lands in the run ledger as a
+``kind="fleet"`` entry, so ``repro obs diff``/``html`` cover scheduling
+runs the same way they cover evaluations.
 
 **Crash safety.**  With a ``journal`` attached every transition is
 write-ahead logged through :class:`~repro.fleet.journal.FleetJournal`,
@@ -614,26 +614,7 @@ class Fleet:
                 else f"degraded {new_iter / old_iter:.2f}x past "
                 f"threshold {self.migrate_threshold:.2f}x"
             )
-            lost = self._unseat(state, node)
-            self._queue.append(state)
-            self._event("requeue", job_id=state.spec.job_id, node=node.name, detail=reason)
-            self._jrec(
-                "requeue",
-                job_id=state.spec.job_id,
-                node=node.name,
-                remaining=state.remaining_iterations,
-                lost=lost,
-                reason=reason,
-            )
-            self._record(
-                "requeue",
-                state,
-                node.name,
-                reason=reason,
-                drift=drift,
-                lost_iterations=lost,
-                resume_pricing=pricing,
-            )
+            self._unseat(node, reason, drift=drift, resume_pricing=pricing)
         elif new_iter != old_iter:
             self._reprice(state, node, new_iter, old_iter, drift, None)
 
@@ -649,22 +630,12 @@ class Fleet:
         """Ride it out, re-timed: fold completed iterations at the old
         rate, then reschedule the finish at the degraded rate."""
         assert state.started_at is not None
-        completed = self._completed_iterations(state)
         node.busy_s += self.now - state.started_at
-        state.remaining_iterations -= completed
+        state.remaining_iterations -= self._completed_iterations(state)
         state.started_at = self.now
         state.iter_time = new_iter
         state.version += 1
-        if state.remaining_iterations <= 0:
-            state.remaining_iterations = 0
-            self._push(self.now, "finish", (state.spec.job_id, state.version))
-        else:
-            self._push(
-                self.now + state.remaining_iterations * new_iter,
-                "finish",
-                (state.spec.job_id, state.version),
-            )
-            self._arm_checkpoint(state)
+        self._schedule_finish(state)
         self._jrec(
             "reprice",
             job_id=state.spec.job_id,
@@ -693,12 +664,9 @@ class Fleet:
         through the CostOracle, so the delta is Algorithm 1's estimate
         of the work the migration would throw away.
         """
-        completed_run = self._completed_iterations(state)
-        continuous = max(0, state.remaining_iterations - completed_run)
+        total_done = self._done_iterations(state)
+        continuous = state.spec.iterations - total_done
         resume = max(1, state.spec.iterations - state.checkpointed_iterations)
-        total_done = (
-            state.spec.iterations - state.remaining_iterations + completed_run
-        )
         stay = continuous * new_iter if not math.isnan(new_iter) else math.inf
         move, target = math.inf, None
         for other in self.nodes:
@@ -730,12 +698,7 @@ class Fleet:
         every = state.spec.checkpoint_every
         if every is None or state.node is None:
             return
-        done_total = (
-            state.spec.iterations
-            - state.remaining_iterations
-            + self._completed_iterations(state)
-        )
-        if done_total + every >= state.spec.iterations:
+        if self._done_iterations(state) + every >= state.spec.iterations:
             return
         self._push(
             self.now + every * state.iter_time,
@@ -747,12 +710,7 @@ class Fleet:
         state = self._jobs.get(job_id)
         if state is None or state.version != version or state.node is None:
             return  # stale: the job moved or repriced since this was armed
-        done_total = (
-            state.spec.iterations
-            - state.remaining_iterations
-            + self._completed_iterations(state)
-        )
-        done_total = min(done_total, state.spec.iterations - 1)
+        done_total = min(self._done_iterations(state), state.spec.iterations - 1)
         if done_total > state.checkpointed_iterations:
             state.checkpointed_iterations = done_total
             self._jrec(
@@ -780,27 +738,8 @@ class Fleet:
         )
         self._record("node_crash", None, name, crashes=len(node.crash_times))
         if state is not None:
-            lost = self._unseat(state, node)
-            self._queue.append(state)
-            reason = "node fail-stop"
-            self._event(
-                "requeue", job_id=state.spec.job_id, node=name, detail=reason
-            )
-            self._jrec(
-                "requeue",
-                job_id=state.spec.job_id,
-                node=name,
-                remaining=state.remaining_iterations,
-                lost=lost,
-                reason=reason,
-            )
-            self._record(
-                "requeue",
-                state,
-                name,
-                reason=reason,
-                lost_iterations=lost,
-                resume_from=state.checkpointed_iterations,
+            self._unseat(
+                node, "node fail-stop", resume_from=state.checkpointed_iterations
             )
         recent = [t for t in node.crash_times if t >= self.now - self.flap_window]
         if len(recent) >= self.flap_threshold and not node.quarantined:
@@ -879,7 +818,7 @@ class Fleet:
                     continue
                 if victim_node is None:
                     continue
-                self._preempt(victim_node)
+                self._unseat(victim_node)
                 self._queue.remove(state)
                 self._assign(state, victim_node)
 
@@ -954,12 +893,7 @@ class Fleet:
             state.migrations += 1
         state.nodes_visited.append(node.name)
         node.running = state
-        self._push(
-            self.now + state.remaining_iterations * iter_time,
-            "finish",
-            (state.spec.job_id, state.version),
-        )
-        self._arm_checkpoint(state)
+        self._schedule_finish(state)
         self._jrec(
             "assign",
             job_id=state.spec.job_id,
@@ -979,37 +913,31 @@ class Fleet:
             resume_from=state.checkpointed_iterations,
         )
 
-    def _preempt(self, node: Node) -> None:
-        state = node.running
-        assert state is not None
-        lost = self._unseat(state, node)
-        self._queue.append(state)
-        self._event("preempt", job_id=state.spec.job_id, node=node.name)
-        self._jrec(
-            "preempt",
-            job_id=state.spec.job_id,
-            node=node.name,
-            remaining=state.remaining_iterations,
-            lost=lost,
+    def _schedule_finish(self, state: JobState) -> None:
+        """Schedule the running job's finish at its current rate and arm
+        its next checkpoint (both carry the job's current version)."""
+        self._push(
+            self.now + state.remaining_iterations * state.iter_time,
+            "finish",
+            (state.spec.job_id, state.version),
         )
-        self._record("preempt", state, node.name, lost_iterations=lost)
+        self._arm_checkpoint(state)
 
-    def _unseat(self, state: JobState, node: Node) -> int:
-        """Take a running job off its node, rolling back to its last
-        checkpoint; returns the iterations of work lost.
+    def _unseat(self, node: Node, reason: str | None = None, **extra: Any) -> None:
+        """Requeue ``node``'s running job, rolled back to its last checkpoint.
 
         Only checkpointed work survives losing the node — the runtime's
         optimizer state lives in that node's storage hierarchy, so
         whatever ran past the last durable checkpoint is redone.  A job
-        with ``checkpoint_every=None`` restarts from scratch.
+        with ``checkpoint_every=None`` restarts from scratch.  Without a
+        ``reason`` the move is a ``preempt``; with one it is a
+        ``requeue`` whose event, journal record and ledger decision
+        carry it.  ``extra`` goes into the ledger decision only.
         """
-        assert state.started_at is not None
-        completed = self._completed_iterations(state)
-        total_done = (
-            state.spec.iterations - state.remaining_iterations + completed
-        )
+        state = node.running
+        assert state is not None and state.started_at is not None
         kept = min(state.checkpointed_iterations, state.spec.iterations - 1)
-        lost = max(0, total_done - kept)
+        lost = max(0, self._done_iterations(state) - kept)
         node.busy_s += self.now - state.started_at
         node.running = None
         state.remaining_iterations = max(1, state.spec.iterations - kept)
@@ -1019,7 +947,27 @@ class Fleet:
         state.iter_time = math.nan
         state.version += 1  # invalidate the scheduled finish + checkpoints
         state.preemptions += 1
-        return lost
+        self._queue.append(state)
+        kind, why = ("preempt", {}) if reason is None else ("requeue", {"reason": reason})
+        self._event(kind, job_id=state.spec.job_id, node=node.name, detail=reason or "")
+        self._jrec(
+            kind,
+            job_id=state.spec.job_id,
+            node=node.name,
+            remaining=state.remaining_iterations,
+            lost=lost,
+            **why,
+        )
+        self._record(kind, state, node.name, lost_iterations=lost, **why, **extra)
+
+    def _done_iterations(self, state: JobState) -> int:
+        """Iterations the running job has done in all: those before this
+        run plus those this run has completed so far."""
+        return (
+            state.spec.iterations
+            - state.remaining_iterations
+            + self._completed_iterations(state)
+        )
 
     def _completed_iterations(self, state: JobState) -> int:
         assert state.started_at is not None

@@ -43,7 +43,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.faults.nodes import NodeCrash, NodeFaultSchedule, NodeFlap
 from repro.obs import tracectx
@@ -53,12 +52,7 @@ from .api import FleetError
 from .cluster import Fleet, FleetOutcome
 from .node import Node
 from .oracle import CostOracle
-from .trace import (
-    RESTORE_AT_S,
-    bursty_trace,
-    standard_degradations,
-    standard_fleet_nodes,
-)
+from .trace import RESTORE_AT_S, bursty_fleet, standard_fleet_nodes
 
 #: When the coordinator is killed (mid-run: after the degradation, the
 #: fail-stop and the flap's first two crashes, with jobs running and
@@ -121,28 +115,6 @@ class CrashDrillReport:
         if self.mode != "no-journal":
             ok = ok and self.lost_jobs == 0
         return ok
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "scheduler": self.scheduler,
-            "mode": self.mode,
-            "submitted": self.submitted,
-            "accounted": self.accounted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "lost_jobs": self.lost_jobs,
-            "duplicated_jobs": self.duplicated_jobs,
-            "lost_iterations": self.lost_iterations,
-            "checkpoints": self.checkpoints,
-            "node_crashes": self.node_crashes,
-            "quarantines": self.quarantines,
-            "pre_crash_completed": self.pre_crash_completed,
-            "recovered_requeued": self.recovered_requeued,
-            "makespan_s": self.makespan_s,
-            "journal_records": self.journal_records,
-            "journal_repaired_bytes": self.journal_repaired_bytes,
-            "passed": self.passed,
-        }
 
 
 def run_crash_drill(
@@ -210,23 +182,16 @@ def _drill(
         os.unlink(journal_path)
 
     # -- phase 1: the hot afternoon -------------------------------------------
-    fleet = Fleet(
-        _fresh_nodes(nodes, 0),
+    fleet = bursty_fleet(
         scheduler,
-        oracle=oracle,
+        n_jobs=n_jobs,
+        seed=seed,
         ledger=ledger,
+        oracle=oracle,
+        nodes=nodes,
         journal=journal_path if journaled else None,
+        checkpoint_every=checkpoint_every,
     )
-    for spec in bursty_trace(n_jobs, seed, checkpoint_every=checkpoint_every):
-        fleet.submit(spec)
-    for injection in standard_degradations():
-        fleet.inject(
-            injection["at"],
-            injection["node"],
-            failed_ssds=injection.get("failed_ssds"),
-            bw_sag=injection.get("bw_sag"),
-            restore=injection.get("restore", False),
-        )
     NodeFaultSchedule(
         (
             NodeCrash(
@@ -280,7 +245,7 @@ def _drill(
     # -- phase 3: recover and drain -------------------------------------------
     recovered = Fleet.recover(
         journal_path,
-        _fresh_nodes(nodes, 1),
+        _fresh_nodes(nodes),
         scheduler,
         oracle=oracle,
         ledger=ledger,
@@ -309,13 +274,11 @@ def _drill(
     )
 
 
-def _fresh_nodes(nodes: list[Node] | None, generation: int) -> list[Node]:
-    """A fresh cluster per fleet generation (node state dies with the
-    coordinator; the journal is the authority on health)."""
+def _fresh_nodes(nodes: list[Node] | None) -> list[Node]:
+    """A fresh cluster for the recovered coordinator (node state dies
+    with the old one; the journal is the authority on health)."""
     if nodes is None:
         return standard_fleet_nodes()
-    if generation == 0:
-        return nodes
     return [
         Node(
             node.name,
@@ -340,13 +303,10 @@ def _score(
     journal = recovered.journal
     assert journal is not None
     terminal_counts: dict[str, int] = {}
-    submits = 0
     records = 0
     for record in journal.records():
         records += 1
-        if record.get("rec") == "submit":
-            submits += 1
-        elif record.get("rec") in ("finish", "reject"):
+        if record.get("rec") in ("finish", "reject"):
             job_id = record.get("job_id", "")
             terminal_counts[job_id] = terminal_counts.get(job_id, 0) + 1
     duplicated = sum(1 for count in terminal_counts.values() if count > 1)

@@ -11,12 +11,14 @@ re-evaluating through :meth:`OffloadPolicy.evaluate`, so a degraded
 node's iteration times come out of the full planning/simulation stack
 rather than an ad-hoc scale factor.
 
-Each node owns a per-node :class:`~repro.adapt.health.HealthMonitor`
-(the PR-5 drift detector, anchored on the healthy profile).  Degrading a
-node feeds the monitor's ``observe_*`` surface and returns the typed
-:class:`~repro.adapt.health.DriftEvent` list from ``poll()`` — the
-signal the :class:`~repro.fleet.cluster.Fleet` escalates into
-fleet-level rescheduling.
+A node knows its own state exactly, so it runs no drift monitor:
+``degrade`` and ``restore`` read the typed
+:class:`~repro.adapt.health.DriftEvent` list off the state change itself
+(a :class:`~repro.adapt.health.DriveDrift` when the surviving-drive
+count moves, a :class:`~repro.adapt.health.BandwidthDrift` while the
+array runs below ``BW_RATIO`` of its provisioned rate) — the signal the
+:class:`~repro.fleet.cluster.Fleet` escalates into fleet-level
+rescheduling.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.adapt.health import DriftEvent, HealthMonitor
-from repro.core.hwprofile import profile_hardware
+from repro.adapt.health import BW_RATIO, BandwidthDrift, DriftEvent, DriveDrift
 from repro.core.policy import OffloadPolicy
 from repro.hardware.spec import ServerSpec
 from repro.obs import tracectx
@@ -37,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Node:
-    """A schedulable server with degradation state and a drift monitor."""
+    """A schedulable server with its degradation state."""
 
     def __init__(
         self,
@@ -75,7 +76,6 @@ class Node:
         #: under (``""`` when none) — links a health transition back to
         #: the chaos injection or request that caused it.
         self.last_trace_id = ""
-        self._monitor: HealthMonitor | None = None
         #: (provisioned spec, (failed_ssds, bw_sag), the spec derived from them).
         self._derived: tuple[ServerSpec, tuple[int, float], ServerSpec] | None = None
 
@@ -89,15 +89,6 @@ class Node:
         return f"Node({self.name!r}, {self.server.gpu.name}, {state})"
 
     # -- health ----------------------------------------------------------------
-
-    @property
-    def monitor(self) -> HealthMonitor:
-        """The per-node drift monitor (lazy: anchored on the healthy profile)."""
-        if self._monitor is None:
-            self._monitor = HealthMonitor(profile_hardware(self.server))
-            if self.server.n_ssds > 0:
-                self._monitor.observe_drives(self.server.n_ssds)
-        return self._monitor
 
     @property
     def degraded(self) -> bool:
@@ -155,27 +146,27 @@ class Node:
     def degrade(
         self, *, failed_ssds: int | None = None, bw_sag: float | None = None
     ) -> list[DriftEvent]:
-        """Apply a degradation and return the drift events it raises.
+        """Apply a degradation and return the drift it raises (see :meth:`_drift`).
 
-        The monitor is fed the same signals the runtime would emit — the
-        surviving drive count and the array's effective-vs-profiled
-        bandwidth ratio — so detection runs through the real PR-5 path.
+        Both arguments are checked before either is applied, so a
+        rejected call leaves the node as it was.
         """
+        if failed_ssds is not None and not 0 <= failed_ssds <= self.server.n_ssds:
+            raise FleetError(
+                f"node {self.name}: failed_ssds must be in "
+                f"[0, {self.server.n_ssds}], got {failed_ssds}"
+            )
+        if bw_sag is not None and not 0 < bw_sag <= 1:
+            raise FleetError(
+                f"node {self.name}: bw_sag must be in (0, 1], got {bw_sag}"
+            )
+        surviving = self.server.n_ssds - self.failed_ssds
         if failed_ssds is not None:
-            if not 0 <= failed_ssds <= self.server.n_ssds:
-                raise FleetError(
-                    f"node {self.name}: failed_ssds must be in "
-                    f"[0, {self.server.n_ssds}], got {failed_ssds}"
-                )
             self.failed_ssds = failed_ssds
         if bw_sag is not None:
-            if not 0 < bw_sag <= 1:
-                raise FleetError(
-                    f"node {self.name}: bw_sag must be in (0, 1], got {bw_sag}"
-                )
             self.bw_sag = bw_sag
         self.last_trace_id = tracectx.current_trace_id()
-        return self._observe()
+        return self._drift(surviving)
 
     def restore(self) -> list[DriftEvent]:
         """Heal the node back to its provisioned spec.
@@ -183,28 +174,32 @@ class Node:
         Also the operator's path out of quarantine: restoring clears the
         flap history, so the hysteresis counter starts fresh.
         """
+        surviving = self.server.n_ssds - self.failed_ssds
         self.failed_ssds = 0
         self.bw_sag = 1.0
         self.quarantined = False
         self.crash_times.clear()
         self.last_trace_id = tracectx.current_trace_id()
-        return self._observe()
+        return self._drift(surviving)
 
-    def _observe(self) -> list[DriftEvent]:
-        if self.server.n_ssds == 0:
-            # Nothing to observe: the node has no array to degrade
-            # (the DGX case) — treat it as permanently healthy.
+    def _drift(self, surviving_before: int) -> list[DriftEvent]:
+        """The drift events of a state change, read off the state itself.
+
+        A changed surviving-drive count raises a :class:`DriveDrift`.  The
+        array's effective rate scales with the surviving fraction and the
+        sag; while that ratio is below ``BW_RATIO`` the node raises a
+        :class:`BandwidthDrift` against the provisioned read rate.  A node
+        without an SSD array (the DGX) has nothing to drift.
+        """
+        n_ssds = self.server.n_ssds
+        if n_ssds == 0:
             return []
-        monitor = self.monitor
-        remaining = self.server.n_ssds - self.failed_ssds
-        monitor.observe_drives(remaining)
-        hw = monitor.hardware
-        if hw.bw_s2m > 0:
-            # Effective array rate scales with both the surviving drive
-            # fraction and the sag; feed the blended ratio twice so the
-            # EWMA (alpha=0.5) settles on it rather than on the mean
-            # with the healthy prior.
-            ratio = (remaining / self.server.n_ssds) * self.bw_sag
-            monitor.observe_bandwidth("ssd", hw.bw_s2m * ratio, hw.bw_s2m)
-            monitor.observe_bandwidth("ssd", hw.bw_s2m * ratio, hw.bw_s2m)
-        return monitor.poll()
+        surviving = n_ssds - self.failed_ssds
+        events: list[DriftEvent] = []
+        if surviving != surviving_before:
+            events.append(DriveDrift(surviving_before, surviving))
+        ratio = (surviving / n_ssds) * self.bw_sag
+        if ratio < BW_RATIO:
+            profiled = self.server.ssd_read_bw
+            events.append(BandwidthDrift("ssd", profiled * ratio, profiled))
+        return events

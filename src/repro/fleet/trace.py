@@ -19,13 +19,14 @@ its P99 win.
 
 :func:`bursty_trace` generates a deterministic open-loop arrival
 process: bursts of mixed job shapes (a long 30B head followed by medium
-13B and short 6B requests) every ``burst_every`` seconds — the
+13B and short 6B requests) every ``BURST_EVERY_S`` seconds — the
 head-of-line pattern that punishes FIFO.  :func:`standard_degradations`
 injects the PR-2-style fault mid-trace (the 4090 box loses most of its
 array plus a thermal sag, healing later), which exercises the
-drift-to-rescheduling escalation path.  :func:`run_bursty_drill` wires
-the three together; the CLI, ``ext_fleet`` and CI's fleet-smoke job all
-call it.
+drift-to-rescheduling escalation path.  :func:`bursty_fleet` wires the
+three together into a fleet ready to run; :func:`run_bursty_drill`
+drains it (the CLI, ``ext_fleet`` and CI's fleet-smoke job all call
+it), and the crash drill runs it up to the coordinator kill.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ def bursty_trace(
     n_jobs: int = 40,
     seed: int = 7,
     *,
-    burst_every: float = BURST_EVERY_S,
     checkpoint_every: int | None = None,
 ) -> list[JobSpec]:
     """A deterministic bursty arrival trace of ``n_jobs`` mixed requests.
@@ -124,7 +124,7 @@ def bursty_trace(
     specs: list[JobSpec] = []
     burst = 0
     while len(specs) < n_jobs:
-        base = burst * burst_every
+        base = burst * BURST_EVERY_S
         offset = 0.0
         for slot in range(6):
             if len(specs) >= n_jobs:
@@ -141,7 +141,7 @@ def bursty_trace(
                 hardware_class = "dgx"
             deadline = None
             if model == "6B" and rng.random() < 0.5:
-                deadline = burst_every * rng.uniform(2.0, 4.0)
+                deadline = BURST_EVERY_S * rng.uniform(2.0, 4.0)
             specs.append(
                 JobSpec(
                     job_id=job_id,
@@ -173,7 +173,7 @@ def standard_degradations() -> list[dict]:
     ]
 
 
-def run_bursty_drill(
+def bursty_fleet(
     scheduler: str = "sjf",
     *,
     n_jobs: int = 40,
@@ -185,8 +185,8 @@ def run_bursty_drill(
     optimizer_mode: str | None = None,
     journal: str | None = None,
     checkpoint_every: int | None = None,
-) -> FleetOutcome:
-    """Run the bursty trace (plus the standard fault) under one policy.
+) -> Fleet:
+    """A fleet with the bursty trace submitted and the standard fault armed.
 
     ``optimizer_mode`` selects the stall-free optimizer variant on the
     Ratel nodes (ignored when explicit ``nodes`` are given).
@@ -205,12 +205,34 @@ def run_bursty_drill(
         fleet.submit(spec)
     if degrade:
         for injection in standard_degradations():
-            at = injection["at"]
-            fleet.inject(
-                at,
-                injection["node"],
-                failed_ssds=injection.get("failed_ssds"),
-                bw_sag=injection.get("bw_sag"),
-                restore=injection.get("restore", False),
-            )
-    return fleet.drain()
+            fleet.inject(**injection)
+    return fleet
+
+
+def run_bursty_drill(
+    scheduler: str = "sjf",
+    *,
+    n_jobs: int = 40,
+    seed: int = 7,
+    ledger: str | RunLedger | None = None,
+    degrade: bool = True,
+    oracle: CostOracle | None = None,
+    nodes: list[Node] | None = None,
+    optimizer_mode: str | None = None,
+    journal: str | None = None,
+    checkpoint_every: int | None = None,
+) -> FleetOutcome:
+    """Drain :func:`bursty_fleet`: the bursty trace plus the standard
+    fault under one policy (same parameters)."""
+    return bursty_fleet(
+        scheduler,
+        n_jobs=n_jobs,
+        seed=seed,
+        ledger=ledger,
+        degrade=degrade,
+        oracle=oracle,
+        nodes=nodes,
+        optimizer_mode=optimizer_mode,
+        journal=journal,
+        checkpoint_every=checkpoint_every,
+    ).drain()

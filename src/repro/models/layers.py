@@ -68,11 +68,6 @@ class BlockProfile:
         """Bytes of the block-output (inter-block checkpoint) tensor."""
         return self.segments[-1].nbytes
 
-    @property
-    def param_bytes_fp16(self) -> float:
-        """fp16 parameter bytes of one block."""
-        return FP16 * self.param_count
-
 
 def gpt_block_profile(config: TransformerConfig, batch_size: int) -> BlockProfile:
     """Segments of one GPT block for a given batch size.

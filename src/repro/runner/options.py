@@ -99,10 +99,20 @@ class RunOptions:
         )
 
 
+def ledger_arg(
+    parser: argparse._ActionsContainer, verb: str = "append evaluations to"
+) -> None:
+    """Add the ``--ledger [PATH]`` flag to a parser or argument group;
+    ``verb`` says what the command does with the ledger."""
+    parser.add_argument(
+        "--ledger", metavar="PATH", nargs="?", const=DEFAULT_LEDGER_PATH, default=None,
+        help=f"{verb} a JSONL run ledger (default path: {DEFAULT_LEDGER_PATH})",
+    )
+
+
 def run_options_parent(
     *,
     adapt_help: str | None = None,
-    ledger_record: bool = True,
     journal_flags: bool = False,
 ) -> argparse.ArgumentParser:
     """The parent parser carrying the shared runner flags.
@@ -134,11 +144,7 @@ def run_options_parent(
         help="per-point wall-clock budget; points past it are quarantined "
         "(needs --jobs: only pool workers can be abandoned)",
     )
-    verb = "append evaluations to" if ledger_record else "read run history from"
-    group.add_argument(
-        "--ledger", metavar="PATH", nargs="?", const=DEFAULT_LEDGER_PATH, default=None,
-        help=f"{verb} a JSONL run ledger (default path: {DEFAULT_LEDGER_PATH})",
-    )
+    ledger_arg(group)
     group.add_argument(
         "--optimizer-mode", dest="optimizer_mode", default=None,
         choices=("sync", "async", "overlap"),

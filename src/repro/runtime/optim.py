@@ -380,14 +380,6 @@ class CPUAdam:
             self.manager.move(stored, self.states_tier)
         return fresh_p16
 
-    def fetch_p16(self, name: str) -> np.ndarray:
-        """Read a parameter's current fp16 copy (moves it host-side)."""
-        stored = self.manager.get(f"{name}.p16")
-        self.manager.move(stored, st.HOST)
-        value = stored.data().copy()
-        self.manager.move(stored, self.states_tier)
-        return value
-
     def master_weights(self, name: str) -> np.ndarray:
         """Read a parameter's fp32 master copy (for verification)."""
         stored = self.manager.get(f"{name}.p32")

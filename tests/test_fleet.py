@@ -26,12 +26,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adapt.health import BW_RATIO, BandwidthDrift, DriveDrift
 from repro.core import RatelPolicy
 from repro.fleet import (
     CostOracle,
     Fleet,
     FleetError,
     FleetEvent,
+    FleetJournal,
     JobSpec,
     Node,
     PriorityScheduler,
@@ -272,6 +274,154 @@ class TestFleetLoop:
         parsed = json.loads(json.dumps(payload))
         assert parsed["scheduler"] == "fifo"
         assert parsed["metrics"]["completed"] == 1
+
+
+class TestNodeDrift:
+    """A node reads its drift events off the state change itself."""
+
+    def test_restore_raises_only_the_drive_change(self):
+        node = standard_fleet_nodes()[2]  # box-4090, 12 drives
+        node.degrade(failed_ssds=10, bw_sag=0.6)
+        assert node.restore() == [DriveDrift(2, 12)]
+        assert node.restore() == []
+
+    def test_first_degrade_keeps_its_events_and_strings(self):
+        box, dgx = standard_fleet_nodes()[2:]
+        events = box.degrade(failed_ssds=10, bw_sag=0.6)
+        assert [event.kind for event in events] == ["drive_loss", "bandwidth_sag"]
+        assert [str(event) for event in events] == [
+            "SSD array lost 10 drive(s): 2 of 12 remain",
+            "bandwidth sag on ssd: 3.2 GB/s observed vs 32.0 GB/s profiled (10%)",
+        ]
+        # No SSD array, nothing to drift.
+        assert dgx.degrade(failed_ssds=0, bw_sag=0.5) == []
+        assert dgx.restore() == []
+
+    def test_rejected_degrade_changes_nothing(self):
+        node = standard_fleet_nodes()[2]
+        with pytest.raises(FleetError, match="bw_sag"):
+            node.degrade(failed_ssds=3, bw_sag=1.5)
+        assert (node.failed_ssds, node.bw_sag) == (0, 1.0)
+        assert node.degrade(failed_ssds=1) == [DriveDrift(12, 11)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        calls=st.lists(
+            st.one_of(
+                st.none(),  # restore
+                st.tuples(
+                    st.one_of(st.none(), st.integers(0, 12)),
+                    st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_drift_follows_the_state(self, calls):
+        node = standard_fleet_nodes()[2]
+        n_ssds = node.server.n_ssds
+        for call in calls:
+            before = n_ssds - node.failed_ssds
+            if call is None:
+                events = node.restore()
+            else:
+                events = node.degrade(failed_ssds=call[0], bw_sag=call[1])
+            after = n_ssds - node.failed_ssds
+            drives = [e for e in events if isinstance(e, DriveDrift)]
+            sags = [e for e in events if isinstance(e, BandwidthDrift)]
+            assert drives == ([DriveDrift(before, after)] if after != before else [])
+            assert bool(sags) == ((after / n_ssds) * node.bw_sag < BW_RATIO)
+            assert len(events) == len(drives) + len(sags)
+
+
+class TestUnseatRecords:
+    """What each way of unseating a running job writes: its journal
+    record, its ledger decision and its timeline event."""
+
+    JOURNAL = {"rec", "t", "job_id", "node", "remaining", "lost"}
+    DECISION = {"decision", "time", "scheduler", "job", "lost_iterations"}
+
+    def drain(self, tmp_path, nodes, scheduler, oracle, specs, inject):
+        journal, ledger = tmp_path / "journal.jsonl", tmp_path / "ledger.jsonl"
+        fleet = Fleet(
+            nodes, scheduler, oracle=oracle, journal=str(journal), ledger=str(ledger)
+        )
+        for spec in specs:
+            fleet.submit(spec)
+        inject(fleet)
+        outcome = fleet.drain()
+        fleet.journal.close()
+        records = FleetJournal(str(journal)).records()
+        decisions = [entry.metrics["decision"] for entry in load_ledger(str(ledger)).entries()]
+        return outcome, records, decisions
+
+    @staticmethod
+    def one(items, kind, key):
+        [item] = [item for item in items if item[key] == kind]
+        return item
+
+    def test_priority_preemption(self, tmp_path):
+        outcome, records, decisions = self.drain(
+            tmp_path,
+            stub_nodes(1),
+            PriorityScheduler(aging_rate=0.0, preempt_margin=1.0),
+            StubOracle(),
+            [
+                job("lowly", model="30B", priority=0, submit_at=0.0),
+                job("urgent", model="6B", priority=5, submit_at=10.0),
+            ],
+            lambda fleet: None,
+        )
+        record = self.one(records, "preempt", "rec")
+        assert set(record) == self.JOURNAL
+        assert (record["job_id"], record["node"], record["lost"]) == ("lowly", "n0", 0)
+        assert set(self.one(decisions, "preempt", "decision")) == self.DECISION
+        [event] = [e for e in outcome.events if e.kind == "preempt"]
+        assert (event.job_id, event.node, event.detail) == ("lowly", "n0", "")
+        assert not any(e.kind == "requeue" for e in outcome.events)
+
+    def test_drift_requeue(self, tmp_path):
+        outcome, records, decisions = self.drain(
+            tmp_path,
+            stub_nodes(2),
+            "sjf",
+            StubOracle(speeds={"n0": 1.0, "n1": 1.1}),
+            [job("victim", model="30B", submit_at=0.0, iterations=10)],
+            lambda fleet: fleet.inject(50.0, "n0", failed_ssds=1, bw_sag=0.5),
+        )
+        reason = "degraded 3.00x past threshold 1.30x"
+        record = self.one(records, "requeue", "rec")
+        assert set(record) == self.JOURNAL | {"reason"}
+        assert (record["job_id"], record["lost"], record["reason"]) == ("victim", 1, reason)
+        decision = self.one(decisions, "requeue", "decision")
+        assert set(decision) == self.DECISION | {"reason", "drift", "resume_pricing"}
+        assert decision["reason"] == reason
+        assert [d["kind"] for d in decision["drift"]] == ["drive_loss", "bandwidth_sag"]
+        [event] = [e for e in outcome.events if e.kind == "requeue"]
+        assert (event.job_id, event.node, event.detail) == ("victim", "n0", reason)
+        assert not any(e.kind == "preempt" for e in outcome.events)
+
+    def test_fail_stop_requeue(self, tmp_path):
+        outcome, records, decisions = self.drain(
+            tmp_path,
+            stub_nodes(2),
+            "fifo",
+            StubOracle(),
+            [job("victim", model="30B", iterations=10, checkpoint_every=2)],
+            lambda fleet: fleet.inject_crash(100.0, "n0"),
+        )
+        record = self.one(records, "requeue", "rec")
+        assert set(record) == self.JOURNAL | {"reason"}
+        # 3 iterations done, 2 of them checkpointed at t=60 s.
+        assert (record["reason"], record["lost"], record["remaining"]) == (
+            "node fail-stop", 1, 8
+        )
+        decision = self.one(decisions, "requeue", "decision")
+        assert set(decision) == self.DECISION | {"reason", "resume_from"}
+        assert (decision["reason"], decision["resume_from"]) == ("node fail-stop", 2)
+        [event] = [e for e in outcome.events if e.kind == "requeue"]
+        assert (event.job_id, event.node, event.detail) == ("victim", "n0", "node fail-stop")
 
 
 # -- hypothesis properties -----------------------------------------------------
