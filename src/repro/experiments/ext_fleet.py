@@ -101,7 +101,7 @@ def run(n_jobs: int = N_JOBS, seed: int = SEED) -> list[ExperimentResult]:
             event.detail[:72],
         )
     timeline.note(
-        "the node's HealthMonitor reports drive-count and bandwidth drift; "
+        "each node reads drive-count and bandwidth drift off its own state; "
         "the fleet re-prices the running job on the degraded spec and "
         "requeues it when the new estimate blows past the migrate "
         "threshold — every decision lands in the run ledger as kind=fleet"
