@@ -11,17 +11,17 @@ them against what the active plan *assumed*:
 * **stage time** — measured forward/backward durations against
   Algorithm 1's :class:`~repro.core.iteration_model.IterationEstimate`;
 * **drive count** — surviving drives in the array against the count the
-  profile was measured on;
-* **I/O errors** — storage-layer error rates (a
-  :class:`~repro.faults.FaultInjector` or any counter source).
+  profile was measured on.
 
 Crossing one of the module's threshold constants (``BW_RATIO``,
-``OVERRUN_RATIO``, ``IO_ERROR_RATE``) raises a typed drift event on the
-next :meth:`HealthMonitor.poll`.  The monitor never acts — acting is
+``OVERRUN_RATIO``) raises a typed drift event on the next
+:meth:`HealthMonitor.poll`.  The monitor never acts — acting is
 the :class:`~repro.adapt.controller.AdaptiveController`'s job, and the
 controller (driven by the sim drill) and the tests are what feed its
 ``observe_*`` surface.  The NumPy runtime hook keeps its own
-step-time EWMA, and a fleet node reads drift off its own state.
+step-time EWMA and raises :class:`IOErrorDrift` itself off the
+storage manager's injector counters, and a fleet node reads drift off
+its own state.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ OVERRUN_RATIO = 1.25
 #: Consecutive over-threshold polls before an overrun is sustained: a
 #: single slow iteration (GC pause, cache miss storm) is not drift.
 OVERRUN_POLLS = 2
-#: I/O error rate (errors per operation) above which storage drifts.
-IO_ERROR_RATE = 0.01
 
 
 class Ewma:
@@ -240,8 +238,6 @@ class HealthMonitor:
         self._stage_ratio: dict[str, Ewma] = {}
         self._stage_last: dict[str, tuple[float, float]] = {}
         self._stage_over: dict[str, int] = {}
-        self._io_rate = Ewma()
-        self._io_last: tuple[int, int] = (0, 0)
         #: Surviving drives as last observed (``None`` until first fed).
         self.remaining_drives: int | None = None
         self._reported_drives: int | None = None
@@ -278,16 +274,6 @@ class HealthMonitor:
             self._stage_over[stage] = self._stage_over.get(stage, 0) + 1
         else:
             self._stage_over[stage] = 0
-
-    def observe_errors(self, errors: int, operations: int) -> None:
-        """Fold cumulative storage error counters (monotone inputs)."""
-        prev_errors, prev_ops = self._io_last
-        delta_errors = max(0, errors - prev_errors)
-        delta_ops = max(0, operations - prev_ops)
-        self._io_last = (errors, operations)
-        if delta_ops <= 0:
-            return
-        self._io_rate.update(delta_errors / delta_ops)
 
     def observe_result(self, result) -> None:
         """Fold one simulated/measured iteration (duck-typed).
@@ -337,8 +323,6 @@ class HealthMonitor:
         for ewma in self._stage_ratio.values():
             if ewma.value is not None and ewma.value > OVERRUN_RATIO:
                 return False
-        if self._io_rate.value is not None and self._io_rate.value > IO_ERROR_RATE:
-            return False
         return True
 
     def poll(self) -> list[DriftEvent]:
@@ -359,9 +343,6 @@ class HealthMonitor:
             if over >= OVERRUN_POLLS:
                 observed, predicted = self._stage_last[stage]
                 events.append(StageOverrun(stage, observed, predicted, over))
-        if self._io_rate.value is not None and self._io_rate.value > IO_ERROR_RATE:
-            errors, operations = self._io_last
-            events.append(IOErrorDrift(errors, operations, self._io_rate.value))
         return events
 
     def rebase(
@@ -372,8 +353,7 @@ class HealthMonitor:
         The EWMAs are dropped: ratios measured against the *old* profile
         would otherwise keep tripping thresholds against the new one (a
         sag that the replan already priced in must not re-trigger).
-        Drive state and cumulative error counters survive — they describe
-        the machine, not the plan.
+        Drive state survives — it describes the machine, not the plan.
         """
         self.hardware = hardware
         self.estimate = estimate
@@ -382,4 +362,3 @@ class HealthMonitor:
         self._stage_ratio.clear()
         self._stage_last.clear()
         self._stage_over.clear()
-        self._io_rate.reset()

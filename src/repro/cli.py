@@ -19,8 +19,8 @@ Commands:
 * ``serve``       — run the hardened what-if planner service
   (``repro.serve``): a stdlib HTTP daemon answering capacity queries
   with admission control, a circuit breaker and a degradation ladder;
-  ``--selftest`` runs the in-process chaos drill instead and exits
-  non-zero on any SLO violation.
+  ``--selftest`` runs the in-process chaos drill instead, prints the
+  ``ext_serve`` tables and exits non-zero on any SLO violation.
 * ``obs report``  — bottleneck attribution for one workload: the
   per-stage, per-resource busy/stall/idle table, the binding resource of
   each stage, and planned-vs-actual iteration time (``repro.obs``).
@@ -634,31 +634,14 @@ def cmd_serve(args, out) -> int:
     from repro.serve import PlannerService, ServiceConfig, make_server, run_chaos_drill
 
     if args.selftest:
+        from repro.experiments import ext_serve
+
         with tempfile.TemporaryDirectory(prefix="repro-serve-selftest-") as root:
             report = run_chaos_drill(root)
-        for phase in report.phases:
-            statuses = ", ".join(
-                f"{code}:{count}" for code, count in sorted(phase.statuses.items())
-            )
-            print(
-                f"  {phase.name:8s} {phase.sent:3d} sent  [{statuses}]  "
-                f"P99 {phase.p99_s:.3f} s",
-                file=out,
-            )
-        print(
-            f"breaker arc: {' -> '.join(report.breaker_states) or '-'} | "
-            f"journal: {report.journal.get('accepted', 0)} accepted, "
-            f"{report.journal.get('orphans_after_recovery', 0)} orphans | "
-            f"{report.cache_corrupt_detected} corrupt cache entries caught",
-            file=out,
-        )
-        if not report.passed:
-            for violation in report.violations:
-                print(f"SLO VIOLATION: {violation}", file=out)
-            print(f"selftest FAILED ({len(report.violations)} violations)", file=out)
-            return 1
-        print(f"selftest passed in {report.wall_s:.2f} s (0 SLO violations)", file=out)
-        return 0
+        for table in ext_serve.tables(report):
+            print(table.render(), file=out)
+            print(file=out)
+        return 1 if report.violations else 0
 
     config = ServiceConfig(
         rate=args.rate,

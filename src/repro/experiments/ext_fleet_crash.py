@@ -17,10 +17,10 @@ the quarantine column reads 0 in every mode:
 * ``no-journal`` — the baseline the tentpole exists to kill: the crash
   silently loses every non-terminal job.
 
-The experiment *asserts* the crash-safety contract (journaled modes
-lose zero jobs and duplicate zero jobs; resume redoes strictly less
-work than restart) rather than merely reporting it, so a regression in
-the journal/recover path fails the experiment run, not just CI.
+The experiment *asserts* the crash-safety contract
+(:func:`repro.fleet.crash_contract`) rather than merely reporting it,
+so a regression in the journal/recover path fails the experiment run,
+not just CI.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.report import ExperimentResult
-from repro.fleet import CrashDrillReport, run_crash_drill
+from repro.fleet import crash_contract, run_crash_drill
 from repro.fleet.drill import KILL_AT_S, MODES
 
 SCHEDULER = "sjf"
@@ -38,11 +38,13 @@ SEED = 7
 
 def run(n_jobs: int = N_JOBS, seed: int = SEED) -> list[ExperimentResult]:
     """Score the three recovery postures on the standard crash drill."""
-    reports: dict[str, CrashDrillReport] = {
+    reports = {
         mode: run_crash_drill(SCHEDULER, mode=mode, n_jobs=n_jobs, seed=seed)
         for mode in MODES
     }
-    _check_contract(reports)
+    violations = crash_contract(reports.values())
+    if violations:
+        raise AssertionError("; ".join(violations))
 
     table = ExperimentResult(
         experiment="ext_fleet_crash",
@@ -80,26 +82,3 @@ def run(n_jobs: int = N_JOBS, seed: int = SEED) -> list[ExperimentResult]:
         "the last durable checkpoint)"
     )
     return [table]
-
-
-def _check_contract(reports: dict[str, CrashDrillReport]) -> None:
-    """The invariants this extension exists to pin down."""
-    for mode in ("resume", "restart"):
-        report = reports[mode]
-        if report.lost_jobs != 0:
-            raise AssertionError(
-                f"crash-safety violated: {mode} mode lost "
-                f"{report.lost_jobs} of {report.submitted} jobs"
-            )
-    for mode, report in reports.items():
-        if report.duplicated_jobs != 0:
-            raise AssertionError(
-                f"exactly-once violated: {mode} mode double-completed "
-                f"{report.duplicated_jobs} jobs"
-            )
-    if not reports["resume"].lost_iterations < reports["restart"].lost_iterations:
-        raise AssertionError(
-            "checkpoint-aware resume should redo strictly less work than "
-            f"restart-from-zero, got resume={reports['resume'].lost_iterations} "
-            f"vs restart={reports['restart'].lost_iterations} iterations"
-        )

@@ -17,7 +17,11 @@ Two tables come out:
 * the accounting audit — breaker transition arc, journal balance after
   the simulated ``kill -9`` + restart (every accepted request
   terminated exactly once), torn-tail repair, cache corruption caught
-  by checksum.
+  by checksum — closed by the drill's verdict, its SLO ``violations``.
+
+The audit states what was measured; only the drill judges it, so the
+tables cannot disagree with the drill's pass/fail.  ``repro serve
+--selftest`` prints the same tables (:func:`tables`).
 """
 
 from __future__ import annotations
@@ -33,8 +37,11 @@ SEED = 7
 def run(seed: int = SEED) -> list[ExperimentResult]:
     """Run the chaos drill and fold the report into result tables."""
     with tempfile.TemporaryDirectory(prefix="repro-serve-drill-") as root:
-        report: ChaosReport = run_chaos_drill(root, seed=seed)
+        return tables(run_chaos_drill(root, seed=seed))
 
+
+def tables(report: ChaosReport) -> list[ExperimentResult]:
+    """The drill's per-phase scoreboard and its hardening audit."""
     scoreboard = ExperimentResult(
         experiment="ext_serve",
         title="planner service chaos drill: per-phase outcomes",
@@ -64,42 +71,35 @@ def run(seed: int = SEED) -> list[ExperimentResult]:
     audit = ExperimentResult(
         experiment="ext_serve",
         title="hardening audit: breaker, journal, cache",
-        columns=["check", "value", "verdict"],
+        columns=["check", "value"],
     )
     journal = report.journal
-    audit.add_row(
-        "breaker transition arc",
-        " -> ".join(report.breaker_states) or "-",
-        "ok" if "open" in report.breaker_states else "FAIL",
-    )
+    audit.add_row("breaker transition arc", " -> ".join(report.breaker_states) or "-")
     audit.add_row(
         "journal accounting (accepted = terminated)",
         f"{journal.get('accepted', 0)} accepted, "
         f"{journal.get('done', 0)} done + {journal.get('failed', 0)} failed, "
         f"{journal.get('orphans_after_recovery', 0)} orphans",
-        "ok" if not journal.get("orphans_after_recovery") else "FAIL",
     )
     audit.add_row(
         "double-run protection",
         f"{journal.get('duplicate_terminals', 0)} duplicate terminals, "
         f"{report.replayed} replayed",
-        "ok" if not journal.get("duplicate_terminals") else "FAIL",
     )
     audit.add_row(
         "torn journal tail",
         f"{journal.get('torn_tail_repaired_bytes', 0)} bytes repaired",
-        "ok" if journal.get("torn_tail_repaired_bytes") else "FAIL",
     )
     audit.add_row(
         "cache corruption",
         f"{report.cache_corrupt_detected} flipped entries caught by CRC",
-        "ok" if report.cache_corrupt_detected else "FAIL",
     )
     audit.add_row(
         "drill verdict",
         f"{len(report.violations)} SLO violations in {report.wall_s:.2f}s",
-        "ok" if report.passed else "FAIL: " + "; ".join(report.violations),
     )
+    for violation in report.violations:
+        audit.add_row("SLO violation", violation)
     audit.note(
         "kill -9 is simulated by tearing the journal tail mid-record and "
         "restarting; recovery truncates the torn half-line, replays each "

@@ -21,10 +21,11 @@ all three substrates of the reproduction:
   :class:`FlakyPolicy`, :class:`CrashPolicy`, :class:`SlowPolicy`)
   produce sweep points that raise, crash their worker process, or hang,
   exercising the runner's retry / timeout / quarantine machinery.
-* **fleet** — :class:`NodeFaultSchedule` fail-stops whole nodes under
-  the ``repro.fleet`` scheduler (:class:`NodeCrash` with optional
-  rejoin, :class:`NodeFlap` for intermittent failures), exercising
-  checkpoint-aware requeue and the anti-flap quarantine hysteresis.
+
+Whole fleet nodes fail through the fleet's own API instead:
+:meth:`repro.fleet.Fleet.inject_crash` fail-stops a node (with an
+optional rejoin), and the crash drill arms its fail-stop and flap
+crashes through it.
 
 Everything is deterministic: schedules fire at fixed simulation times
 and the injector draws from a seeded RNG, so a fault scenario replays
@@ -40,7 +41,6 @@ from .chaos import (
     SlowPolicy,
 )
 from .inject import FaultInjected, FaultInjector, InjectedIOError
-from .nodes import NodeCrash, NodeFaultSchedule, NodeFlap
 from .schedule import (
     BandwidthSag,
     FaultSchedule,
@@ -61,9 +61,6 @@ __all__ = [
     "FlakyThenSlowPolicy",
     "InjectedIOError",
     "LatencyStall",
-    "NodeCrash",
-    "NodeFaultSchedule",
-    "NodeFlap",
     "PoisonPolicy",
     "SSDDropout",
     "SlowPolicy",

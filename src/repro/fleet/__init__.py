@@ -33,8 +33,9 @@ logged; after a coordinator crash, :meth:`Fleet.recover` rebuilds the
 fleet from the journal with exactly-once job accounting, requeueing
 live jobs at their last checkpoint (``JobSpec.checkpoint_every``).
 :func:`run_crash_drill` stages the whole scenario — degradation, node
-fail-stop, a flapping (quarantined) node, coordinator ``kill -9`` with
-a torn journal tail — and scores zero-lost / zero-duplicated recovery.
+fail-stop, a flapping node, coordinator ``kill -9`` with a torn journal
+tail — and :func:`crash_contract` judges its reports: zero lost, zero
+duplicated, resume cheaper than restart.
 """
 
 from .api import (
@@ -46,7 +47,7 @@ from .api import (
     percentile,
 )
 from .cluster import Fleet, FleetOutcome, JobState
-from .drill import CrashDrillReport, run_crash_drill
+from .drill import CrashDrillReport, crash_contract, run_crash_drill
 from .journal import FleetJournal, JobFold, JournalFold
 from .node import Node
 from .oracle import CostOracle
@@ -80,6 +81,7 @@ __all__ = [
     "Node",
     "CostOracle",
     "CrashDrillReport",
+    "crash_contract",
     "FleetJournal",
     "JobFold",
     "JournalFold",

@@ -19,7 +19,7 @@ premise the ISSUE draws from GreedySnake.
 the :class:`~repro.fleet.node.Node` applies the new array state and
 returns the typed drift events that state change raises; the fleet then
 re-prices the running job on the degraded spec and either lets it
-continue (re-timed), or — past ``migrate_threshold`` or outright
+continue (re-timed), or — past ``MIGRATE_THRESHOLD`` or outright
 infeasibility — requeues it so the scheduler can migrate it to a
 healthy node.  Every decision lands in the run ledger as a
 ``kind="fleet"`` entry, so ``repro obs diff``/``html`` cover scheduling
@@ -35,7 +35,7 @@ degraded node, node fail-stop, coordinator crash — rolls it back to its
 last durable checkpoint (``JobSpec.checkpoint_every``; ``None`` means
 full restart), because only checkpointed work survives losing the node.
 Node fail-stop arrives via :meth:`inject_crash`; a node that crashes
-``flap_threshold`` times inside ``flap_window`` seconds is quarantined
+``FLAP_THRESHOLD`` times inside ``FLAP_WINDOW_S`` seconds is quarantined
 (anti-flap hysteresis) instead of thrashing migrations.
 """
 
@@ -57,6 +57,14 @@ from .oracle import CostOracle
 from .schedulers import Scheduler, make_scheduler
 
 logger = logging.getLogger("repro.fleet")
+
+#: Degraded/healthy iteration-time ratio past which a running job is
+#: requeued off a degraded node instead of riding it out.
+MIGRATE_THRESHOLD = 1.3
+#: A node that crashes ``FLAP_THRESHOLD`` times within ``FLAP_WINDOW_S``
+#: seconds is quarantined (anti-flap hysteresis).
+FLAP_WINDOW_S = 3600.0
+FLAP_THRESHOLD = 3
 
 
 @dataclass
@@ -117,13 +125,9 @@ class Fleet:
     ``binpack``) or a :class:`Scheduler` instance; ``oracle`` defaults
     to the shared-sweep :class:`CostOracle` (tests substitute stubs);
     ``ledger`` (path or :class:`RunLedger`) records every fleet decision
-    as a ``kind="fleet"`` entry; ``migrate_threshold`` is the degraded/
-    healthy iteration-time ratio past which a running job is requeued
-    off a degraded node instead of riding it out.  ``journal`` (path or
+    as a ``kind="fleet"`` entry.  ``journal`` (path or
     :class:`FleetJournal`) write-ahead logs every transition so
     :meth:`recover` can rebuild the fleet after a coordinator crash.
-    ``flap_threshold`` crashes of one node within ``flap_window``
-    seconds quarantine it (anti-flap hysteresis).
     """
 
     def __init__(
@@ -133,36 +137,19 @@ class Fleet:
         *,
         oracle: CostOracle | None = None,
         ledger: str | RunLedger | None = None,
-        migrate_threshold: float = 1.3,
         journal: str | FleetJournal | None = None,
-        flap_window: float = 3600.0,
-        flap_threshold: int = 3,
     ) -> None:
         if not nodes:
             raise FleetError("a fleet needs at least one node")
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise FleetError(f"node names must be unique, got {names}")
-        if migrate_threshold <= 1:
-            raise FleetError(
-                f"migrate_threshold must exceed 1, got {migrate_threshold}"
-            )
-        if flap_window <= 0:
-            raise FleetError(f"flap_window must be positive, got {flap_window}")
-        if flap_threshold < 2:
-            raise FleetError(
-                f"flap_threshold must be >= 2 (1 would quarantine on any "
-                f"crash), got {flap_threshold}"
-            )
         self.nodes = list(nodes)
         self._by_name = {node.name: node for node in nodes}
         self.scheduler = make_scheduler(scheduler)
         self.oracle = oracle if oracle is not None else CostOracle()
         self.ledger = RunLedger(ledger) if isinstance(ledger, str) else ledger
         self.journal = FleetJournal(journal) if isinstance(journal, str) else journal
-        self.migrate_threshold = migrate_threshold
-        self.flap_window = flap_window
-        self.flap_threshold = flap_threshold
         self.now = 0.0
         self.events: list[FleetEvent] = []
         self._jobs: dict[str, JobState] = {}
@@ -259,12 +246,18 @@ class Fleet:
         self._pump(until)
 
     def drain(self) -> FleetOutcome:
-        """Run to completion and return the scored outcome."""
+        """Run to completion and return the scored outcome.
+
+        The run ends here, so the journal's append handle is closed (a
+        later append reopens it).
+        """
         self._pump(None)
         # With the heap empty no completion can ever free capacity or
         # heal a node, so whatever is still queued can never start.
         for state in list(self._queue):
             self._reject(state, "no feasible node for this job")
+        if self.journal is not None:
+            self.journal.close()
         return self._outcome()
 
     def result(self, job_id: str) -> JobResult | None:
@@ -282,9 +275,6 @@ class Fleet:
         *,
         oracle: CostOracle | None = None,
         ledger: str | RunLedger | None = None,
-        migrate_threshold: float = 1.3,
-        flap_window: float = 3600.0,
-        flap_threshold: int = 3,
     ) -> "Fleet":
         """Rebuild a live fleet from its write-ahead journal.
 
@@ -312,9 +302,6 @@ class Fleet:
             oracle=oracle,
             ledger=ledger,
             journal=fj,
-            migrate_threshold=migrate_threshold,
-            flap_window=flap_window,
-            flap_threshold=flap_threshold,
         )
         fleet.now = fold.clock
         for name, health in fold.nodes.items():
@@ -599,7 +586,7 @@ class Fleet:
             return
         new_iter = self.oracle.iteration_time(state.spec, node)
         old_iter = state.iter_time
-        if math.isnan(new_iter) or new_iter > old_iter * self.migrate_threshold:
+        if math.isnan(new_iter) or new_iter > old_iter * MIGRATE_THRESHOLD:
             pricing = self._resume_pricing(state, node, new_iter)
             if (
                 not math.isnan(new_iter)
@@ -612,7 +599,7 @@ class Fleet:
                 "infeasible on degraded node"
                 if math.isnan(new_iter)
                 else f"degraded {new_iter / old_iter:.2f}x past "
-                f"threshold {self.migrate_threshold:.2f}x"
+                f"threshold {MIGRATE_THRESHOLD:.2f}x"
             )
             self._unseat(node, reason, drift=drift, resume_pricing=pricing)
         elif new_iter != old_iter:
@@ -741,25 +728,25 @@ class Fleet:
             self._unseat(
                 node, "node fail-stop", resume_from=state.checkpointed_iterations
             )
-        recent = [t for t in node.crash_times if t >= self.now - self.flap_window]
-        if len(recent) >= self.flap_threshold and not node.quarantined:
+        recent = [t for t in node.crash_times if t >= self.now - FLAP_WINDOW_S]
+        if len(recent) >= FLAP_THRESHOLD and not node.quarantined:
             node.quarantined = True
             self._jrec(
                 "quarantine",
                 node=name,
                 crashes=len(recent),
-                window_s=self.flap_window,
+                window_s=FLAP_WINDOW_S,
             )
             self._event(
                 "quarantine",
                 node=name,
                 detail=(
                     f"flapping: {len(recent)} crashes within "
-                    f"{self.flap_window:.0f}s"
+                    f"{FLAP_WINDOW_S:.0f}s"
                 ),
             )
             self._record(
-                "quarantine", None, name, crashes=len(recent), window_s=self.flap_window
+                "quarantine", None, name, crashes=len(recent), window_s=FLAP_WINDOW_S
             )
 
     def _node_rejoin(self, name: str) -> None:

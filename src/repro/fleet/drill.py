@@ -10,7 +10,8 @@ One run stages the worst plausible afternoon:
    requeues) and ``box-3090`` starts to *flap*, crashing at 900 s and
    1,260 s.  Its third crash would fall at 1,620 s, after the kill, and
    the recovered coordinator re-arms only rejoins, so no drill mode
-   trips the anti-flap quarantine;
+   trips the anti-flap quarantine.  Both faults are armed through
+   :meth:`~repro.fleet.cluster.Fleet.inject_crash`;
 4. at ``KILL_AT_S`` — degraded node, two nodes with crash history, and
    a half-run queue in flight — the coordinator dies mid-append: the
    fleet object is abandoned and a torn half-record is glued onto the
@@ -20,21 +21,21 @@ One run stages the worst plausible afternoon:
    heal/rejoin actions the dead coordinator's heap was holding, and the
    run drains to completion.
 
-The :class:`CrashDrillReport` scores what the paper's days-long-run
-framing actually cares about: **no job lost** (every submitted job
-reaches exactly one terminal state), **no job double-completed** (the
-journal holds at most one terminal record per job), and **bounded
-redone work** (iterations re-executed because they ran past the last
-checkpoint).  Three modes make the frontier measurable:
+A :class:`CrashDrillReport` counts what the paper's days-long-run
+framing actually cares about: lost jobs (submitted jobs with no
+terminal state), double-completed jobs (more than one terminal journal
+record) and redone work (iterations re-executed because they ran past
+the last checkpoint).  Three modes make the frontier measurable:
 
 * ``resume``     — journal on, jobs checkpoint every few iterations;
 * ``restart``    — journal on, no checkpoints: recovery requeues jobs
   from iteration zero, so redone work is strictly worse than resume;
 * ``no-journal`` — nothing on disk: the crash simply *loses* every
-  non-terminal job, which is the baseline the tentpole exists to kill.
+  non-terminal job, which is the baseline the journal exists to kill.
 
-``ext_fleet_crash`` tabulates the three; CI's fleet-crash-smoke job
-asserts the resume mode's invariants on every push.
+:func:`crash_contract` is the one pass/fail rule over those reports;
+``ext_fleet_crash``, CI's fleet-crash-smoke job and the tests all call
+it.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.faults.nodes import NodeCrash, NodeFaultSchedule, NodeFlap
 from repro.obs import tracectx
 from repro.obs.ledger import RunLedger
 
 from .api import FleetError
-from .cluster import Fleet, FleetOutcome
+from .cluster import Fleet
 from .node import Node
 from .oracle import CostOracle
 from .trace import RESTORE_AT_S, bursty_fleet, standard_fleet_nodes
@@ -65,10 +67,15 @@ FAILSTOP_AT_S = 700.0
 FAILSTOP_NODE = "box-4080"
 FAILSTOP_OUTAGE_S = 500.0
 
-#: The flapping node: a crash every 360 s from ``FLAP_AT_S``.  Three
-#: inside the flap window would trip quarantine; the kill comes first.
+#: The flapping node: ``FLAP_CYCLES`` crashes, one every
+#: ``FLAP_PERIOD_S`` from ``FLAP_AT_S``, each down for ``FLAP_DOWN_S``.
+#: Three inside the flap window would trip quarantine; the kill comes
+#: first.
 FLAP_AT_S = 900.0
 FLAP_NODE = "box-3090"
+FLAP_CYCLES = 3
+FLAP_PERIOD_S = 360.0
+FLAP_DOWN_S = 120.0
 
 #: Checkpoint cadence of the resume mode's jobs (iterations).
 CHECKPOINT_EVERY = 3
@@ -81,7 +88,7 @@ MODES = ("resume", "restart", "no-journal")
 
 @dataclass
 class CrashDrillReport:
-    """The scorecard of one crash drill run."""
+    """The counts of one crash drill run (:func:`crash_contract` judges them)."""
 
     scheduler: str
     mode: str
@@ -89,32 +96,59 @@ class CrashDrillReport:
     #: Jobs with exactly one terminal state after recovery + drain.
     accounted: int
     completed: int
-    rejected: int
-    #: Submitted jobs with *no* terminal state — must be 0 with a journal.
+    #: Submitted jobs with *no* terminal state.
     lost_jobs: int
-    #: Jobs with more than one terminal journal record — must always be 0.
-    duplicated_jobs: int
+    pre_crash_completed: int
+    rejected: int = 0
+    #: Jobs with more than one terminal journal record.
+    duplicated_jobs: int = 0
     #: Iterations executed then rolled back (redone work) across the run.
-    lost_iterations: int
-    checkpoints: int
+    lost_iterations: int = 0
+    checkpoints: int = 0
     #: Node crashes and quarantines the *recovered* coordinator recorded;
     #: those before the kill died with the old coordinator's event log.
-    node_crashes: int
-    quarantines: int
-    pre_crash_completed: int
-    recovered_requeued: int
-    makespan_s: float
-    journal_records: int
-    journal_repaired_bytes: int
+    node_crashes: int = 0
+    quarantines: int = 0
+    recovered_requeued: int = 0
+    makespan_s: float = math.nan
+    journal_records: int = 0
+    journal_repaired_bytes: int = 0
     events: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        """The crash-safety contract: nothing lost, nothing doubled."""
-        ok = self.duplicated_jobs == 0
-        if self.mode != "no-journal":
-            ok = ok and self.lost_jobs == 0
-        return ok
+
+def crash_contract(reports: Iterable[CrashDrillReport]) -> list[str]:
+    """The crash-safety contract over drill runs: its violations (empty = pass).
+
+    Journaled modes lose no job, no mode completes a job twice, resume
+    redoes strictly less work than restart, and no-journal loses jobs
+    (else the drill never put the journal to the test).  The
+    resume-vs-restart rule applies when both modes are among
+    ``reports``.
+    """
+    by_mode = {report.mode: report for report in reports}
+    violations = []
+    for mode, report in by_mode.items():
+        if report.duplicated_jobs:
+            violations.append(
+                f"exactly-once violated: {mode} mode double-completed "
+                f"{report.duplicated_jobs} jobs"
+            )
+        if mode == "no-journal":
+            if not report.lost_jobs:
+                violations.append("the journal-less baseline lost no jobs")
+        elif report.lost_jobs:
+            violations.append(
+                f"crash-safety violated: {mode} mode lost "
+                f"{report.lost_jobs} of {report.submitted} jobs"
+            )
+    resume, restart = by_mode.get("resume"), by_mode.get("restart")
+    if resume and restart and not resume.lost_iterations < restart.lost_iterations:
+        violations.append(
+            "checkpoint-aware resume should redo strictly less work than "
+            f"restart-from-zero, got resume={resume.lost_iterations} "
+            f"vs restart={restart.lost_iterations} iterations"
+        )
+    return violations
 
 
 def run_crash_drill(
@@ -133,145 +167,119 @@ def run_crash_drill(
 
     ``nodes`` (two *fresh* clusters are needed — pass ``None`` to use
     the standard fleet) and ``oracle`` let tests drive the drill with
-    stubs.  ``journal_path`` defaults to a temp file that is cleaned up
-    afterwards.
+    stubs.  ``journal_path`` defaults to a file in a temp directory
+    that is removed afterwards.
     """
     if mode not in MODES:
         raise FleetError(f"unknown crash-drill mode {mode!r}; choose from {MODES}")
-    cleanup = False
-    if journal_path is None:
-        handle, journal_path = tempfile.mkstemp(
-            prefix="fleet_journal_", suffix=".jsonl"
-        )
-        os.close(handle)
-        os.unlink(journal_path)
-        cleanup = True
-    try:
-        with tracectx.activate(tracectx.new_trace()):
-            return _drill(
-                scheduler,
-                mode=mode,
-                n_jobs=n_jobs,
-                seed=seed,
-                journal_path=journal_path,
-                ledger=ledger,
-                oracle=oracle,
-                nodes=nodes,
-                kill_at=kill_at,
-            )
-    finally:
-        if cleanup and os.path.exists(journal_path):
+    journaled = mode != "no-journal"
+    with (
+        tempfile.TemporaryDirectory(prefix="fleet_journal_") as scratch,
+        tracectx.activate(tracectx.new_trace()),
+    ):
+        journal_path = journal_path or os.path.join(scratch, "journal.jsonl")
+        if journaled and os.path.exists(journal_path):
             os.unlink(journal_path)
 
-
-def _drill(
-    scheduler: str,
-    *,
-    mode: str,
-    n_jobs: int,
-    seed: int,
-    journal_path: str,
-    ledger: str | RunLedger | None,
-    oracle: CostOracle | None,
-    nodes: list[Node] | None,
-    kill_at: float,
-) -> CrashDrillReport:
-    journaled = mode != "no-journal"
-    checkpoint_every = None if mode == "restart" else CHECKPOINT_EVERY
-    if journaled and os.path.exists(journal_path):
-        os.unlink(journal_path)
-
-    # -- phase 1: the hot afternoon -------------------------------------------
-    fleet = bursty_fleet(
-        scheduler,
-        n_jobs=n_jobs,
-        seed=seed,
-        ledger=ledger,
-        oracle=oracle,
-        nodes=nodes,
-        journal=journal_path if journaled else None,
-        checkpoint_every=checkpoint_every,
-    )
-    NodeFaultSchedule(
-        (
-            NodeCrash(
-                at=FAILSTOP_AT_S, node=FAILSTOP_NODE, rejoin_after=FAILSTOP_OUTAGE_S
-            ),
-            NodeFlap(at=FLAP_AT_S, node=FLAP_NODE, cycles=3, down_s=120.0, up_s=240.0),
+        # -- phase 1: the hot afternoon ---------------------------------------
+        fleet = bursty_fleet(
+            scheduler,
+            n_jobs=n_jobs,
+            seed=seed,
+            ledger=ledger,
+            oracle=oracle,
+            nodes=nodes,
+            journal=journal_path if journaled else None,
+            checkpoint_every=None if mode == "restart" else CHECKPOINT_EVERY,
         )
-    ).install(fleet)
-    fleet.run_until(kill_at)
-    pre_crash_completed = sum(
-        1 for job_id in fleet._order if fleet.result(job_id) is not None
-    )
-    events = [str(event) for event in fleet.events]
+        fleet.inject_crash(
+            FAILSTOP_AT_S, FAILSTOP_NODE, rejoin_after=FAILSTOP_OUTAGE_S
+        )
+        for cycle in range(FLAP_CYCLES):
+            fleet.inject_crash(
+                FLAP_AT_S + cycle * FLAP_PERIOD_S, FLAP_NODE, rejoin_after=FLAP_DOWN_S
+            )
+        fleet.run_until(kill_at)
+        pre_crash_completed = sum(
+            1 for job_id in fleet._order if fleet.result(job_id) is not None
+        )
+        events = [str(event) for event in fleet.events]
+        if not journaled:
+            # Nothing on disk: every non-terminal job dies with the fleet.
+            return CrashDrillReport(
+                scheduler,
+                mode,
+                submitted=n_jobs,
+                accounted=pre_crash_completed,
+                completed=pre_crash_completed,
+                lost_jobs=n_jobs - pre_crash_completed,
+                pre_crash_completed=pre_crash_completed,
+                events=events[-20:],
+            )
 
-    # -- phase 2: kill -9 ------------------------------------------------------
-    # The coordinator process dies mid-append: its heap, queue and node
-    # objects vanish, and the journal is left with a torn half-record
-    # (exactly what a SIGKILL between write() and the trailing newline
-    # leaves in the page cache).
-    if journaled:
+        # -- phase 2: kill -9 -------------------------------------------------
+        # The coordinator process dies mid-append: its heap, queue and node
+        # objects vanish, and the journal is left with a torn half-record
+        # (exactly what a SIGKILL between write() and the trailing newline
+        # leaves in the page cache).
         assert fleet.journal is not None
         fleet.journal.close()
         with open(journal_path, "ab") as handle:
             handle.write(b'{"rec": "assign", "job_id": "job-')
-    del fleet
+        del fleet
 
-    if not journaled:
-        # Nothing on disk: every non-terminal job is simply gone.
-        accounted = pre_crash_completed
+        # -- phase 3: recover and drain ---------------------------------------
+        recovered = Fleet.recover(
+            journal_path,
+            _fresh_nodes(nodes),
+            scheduler,
+            oracle=oracle,
+            ledger=ledger,
+        )
+        recovered_requeued = len(recovered._queue)
+        # The dead coordinator's heap held the future heal/rejoin events;
+        # re-arming them is the operator's first post-recovery action.
+        if recovered.now < RESTORE_AT_S:
+            recovered.inject(RESTORE_AT_S, "box-4090", restore=True)
+        for node in recovered.nodes:
+            if not node.alive:
+                recovered.inject_rejoin(recovered.now + REJOIN_GRACE_S, node.name)
+        outcome = recovered.drain()
+        events.append("--- kill -9 / recover ---")
+        events.extend(str(event) for event in recovered.events)
+
+        journal = recovered.journal
+        assert journal is not None
+        records = journal.records()
+        terminals = Counter(
+            record.get("job_id", "")
+            for record in records
+            if record.get("rec") in ("finish", "reject")
+        )
+        accounted = sum(
+            1 for result in outcome.results if result.state in ("completed", "rejected")
+        )
+        metrics = outcome.metrics
         return CrashDrillReport(
-            scheduler=scheduler,
-            mode=mode,
+            scheduler,
+            mode,
             submitted=n_jobs,
             accounted=accounted,
-            completed=accounted,
-            rejected=0,
+            completed=metrics["completed"],
             lost_jobs=n_jobs - accounted,
-            duplicated_jobs=0,
-            lost_iterations=0,
-            checkpoints=0,
-            node_crashes=0,
-            quarantines=0,
             pre_crash_completed=pre_crash_completed,
-            recovered_requeued=0,
-            makespan_s=math.nan,
-            journal_records=0,
-            journal_repaired_bytes=0,
-            events=events[-20:],
+            rejected=metrics["rejected"],
+            duplicated_jobs=sum(1 for count in terminals.values() if count > 1),
+            lost_iterations=metrics["lost_iterations"],
+            checkpoints=metrics["checkpoints"],
+            node_crashes=metrics["node_crashes"],
+            quarantines=metrics["quarantines"],
+            recovered_requeued=recovered_requeued,
+            makespan_s=outcome.makespan,
+            journal_records=len(records),
+            journal_repaired_bytes=journal.repaired_bytes,
+            events=events[-40:],
         )
-
-    # -- phase 3: recover and drain -------------------------------------------
-    recovered = Fleet.recover(
-        journal_path,
-        _fresh_nodes(nodes),
-        scheduler,
-        oracle=oracle,
-        ledger=ledger,
-    )
-    recovered_requeued = len(recovered._queue)
-    # The dead coordinator's heap held the future heal/rejoin events;
-    # re-arming them is the operator's first post-recovery action.
-    if recovered.now < RESTORE_AT_S:
-        recovered.inject(RESTORE_AT_S, "box-4090", restore=True)
-    for node in recovered.nodes:
-        if not node.alive:
-            recovered.inject_rejoin(recovered.now + REJOIN_GRACE_S, node.name)
-    outcome = recovered.drain()
-    events.append("--- kill -9 / recover ---")
-    events.extend(str(event) for event in recovered.events)
-
-    return _score(
-        scheduler,
-        mode,
-        n_jobs,
-        outcome,
-        recovered,
-        pre_crash_completed,
-        recovered_requeued,
-        events,
-    )
 
 
 def _fresh_nodes(nodes: list[Node] | None) -> list[Node]:
@@ -288,48 +296,3 @@ def _fresh_nodes(nodes: list[Node] | None) -> list[Node]:
         )
         for node in nodes
     ]
-
-
-def _score(
-    scheduler: str,
-    mode: str,
-    submitted: int,
-    outcome: FleetOutcome,
-    recovered: Fleet,
-    pre_crash_completed: int,
-    recovered_requeued: int,
-    events: list[str],
-) -> CrashDrillReport:
-    journal = recovered.journal
-    assert journal is not None
-    terminal_counts: dict[str, int] = {}
-    records = 0
-    for record in journal.records():
-        records += 1
-        if record.get("rec") in ("finish", "reject"):
-            job_id = record.get("job_id", "")
-            terminal_counts[job_id] = terminal_counts.get(job_id, 0) + 1
-    duplicated = sum(1 for count in terminal_counts.values() if count > 1)
-    accounted = len(
-        [r for r in outcome.results if r.state in ("completed", "rejected")]
-    )
-    return CrashDrillReport(
-        scheduler=scheduler,
-        mode=mode,
-        submitted=submitted,
-        accounted=accounted,
-        completed=outcome.metrics["completed"],
-        rejected=outcome.metrics["rejected"],
-        lost_jobs=submitted - accounted,
-        duplicated_jobs=duplicated,
-        lost_iterations=outcome.metrics["lost_iterations"],
-        checkpoints=outcome.metrics["checkpoints"],
-        node_crashes=outcome.metrics["node_crashes"],
-        quarantines=outcome.metrics["quarantines"],
-        pre_crash_completed=pre_crash_completed,
-        recovered_requeued=recovered_requeued,
-        makespan_s=outcome.makespan,
-        journal_records=records,
-        journal_repaired_bytes=journal.repaired_bytes,
-        events=events[-40:],
-    )

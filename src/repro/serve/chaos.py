@@ -18,9 +18,11 @@ the full hardening surface through six phases:
    journal, and ledger accounting must balance: every accepted request
    terminated exactly once across both incarnations.
 
-The report's ``violations`` list is the SLO check: empty means the
-drill passed.  ``bench_serve.py`` scores it into ``BENCH_serve.json``
-and the ``serve-smoke`` CI job fails on any violation.
+The report's ``violations`` list is the SLO check and the drill's only
+verdict: empty means the drill passed.  ``ext_serve`` and ``repro serve
+--selftest`` print the measured values beside it without judging them
+again, ``bench_serve.py`` scores it into ``BENCH_serve.json`` and the
+``serve-smoke`` CI job fails on any violation.
 """
 
 from __future__ import annotations
@@ -285,7 +287,11 @@ def run_chaos_drill(root: str, *, seed: int = 0) -> ChaosReport:
     # Corrupt-cache injection: a flipped byte must be detected, not served.
     corrupt_before = service.cache.stats.corrupt
     cache_files = sorted(glob.glob(os.path.join(config.cache_dir, "*", "*.json")))
-    if cache_files:
+    if not cache_files:
+        report.violations.append(
+            "corrupt-cache: no cache entry to corrupt (the CRC check went untested)"
+        )
+    else:
         offset = max(0, os.path.getsize(cache_files[0]) // 2)
         with open(cache_files[0], "r+b") as handle:
             handle.seek(offset)

@@ -184,10 +184,6 @@ class RateChannel:
             self._lock.release()
         return end
 
-    def spawn(self, amount: float, label: str = "") -> Event:
-        """Start ``use`` as an independent process; returns its event."""
-        return self.sim.process(self.use(amount, label))
-
 
 class Machine:
     """The simulated server: channels for every contended resource.
@@ -388,11 +384,3 @@ class _SSDArray:
         _check_request(self.name, nbytes, efficiency)
         self.total_written += nbytes
         return self._use(nbytes, "write", label, efficiency)
-
-    def spawn_read(self, nbytes: float, label: str = "ssd_read") -> Event:
-        """Start a read as an independent process."""
-        return self.sim.process(self.read(nbytes, label))
-
-    def spawn_write(self, nbytes: float, label: str = "ssd_write") -> Event:
-        """Start a write as an independent process."""
-        return self.sim.process(self.write(nbytes, label))

@@ -34,7 +34,6 @@ from repro.adapt import (
     Ewma,
     HealthMonitor,
     HealthProbe,
-    IOErrorDrift,
     LadderRung,
     RuntimeHealth,
     StageOverrun,
@@ -215,21 +214,6 @@ class TestHealthMonitor:
         assert isinstance(event, StageOverrun)
         assert event.stage == "forward"
         assert event.polls >= 2
-
-    def test_error_rate_trips(self, hardware):
-        monitor = HealthMonitor(hardware)
-        monitor.observe_errors(errors=5, operations=100)
-        (event,) = monitor.poll()
-        assert isinstance(event, IOErrorDrift)
-        assert event.rate == pytest.approx(0.05)
-        assert not monitor.healthy()
-
-    def test_error_counters_are_cumulative(self, hardware):
-        monitor = HealthMonitor(hardware)
-        monitor.observe_errors(errors=0, operations=100)
-        monitor.observe_errors(errors=0, operations=200)
-        assert monitor.poll() == []
-        assert monitor.healthy()
 
     def test_rebase_clears_plan_relative_state_keeps_machine_state(self, hardware):
         monitor = HealthMonitor(hardware)

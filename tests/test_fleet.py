@@ -189,7 +189,7 @@ class TestFleetLoop:
 
     def test_degradation_requeues_running_job_to_healthy_node(self):
         oracle = StubOracle(speeds={"n0": 1.0, "n1": 1.1})
-        fleet = Fleet(stub_nodes(2), "sjf", oracle=oracle, migrate_threshold=1.3)
+        fleet = Fleet(stub_nodes(2), "sjf", oracle=oracle)
         fleet.submit(job("victim", model="30B", submit_at=0.0, iterations=10))
         fleet.inject(50.0, "n0", failed_ssds=1, bw_sag=0.5)
         outcome = fleet.drain()
@@ -203,7 +203,7 @@ class TestFleetLoop:
     def test_mild_degradation_reprices_in_place(self):
         # 1.2x slowdown stays under the 1.3x migrate threshold.
         oracle = StubOracle(speeds={"n0": 1.0, "n1": 1.0}, degrade_factor=1.2)
-        fleet = Fleet(stub_nodes(2), "sjf", oracle=oracle, migrate_threshold=1.3)
+        fleet = Fleet(stub_nodes(2), "sjf", oracle=oracle)
         fleet.submit(job("steady", model="30B", submit_at=0.0, iterations=10))
         fleet.inject(50.0, "n0", bw_sag=0.9)
         outcome = fleet.drain()

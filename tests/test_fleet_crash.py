@@ -1,6 +1,6 @@
 """Crash-fault tolerance of the fleet: journal, recovery, node fail-stop.
 
-The tentpole's contract, pinned from four sides:
+The fleet's crash-safety contract, pinned from five sides:
 
 * **journal fold** — the record grammar folds to last-write-wins job
   state; duplicate terminals are counted (and must stay 0 in any run
@@ -14,6 +14,8 @@ The tentpole's contract, pinned from four sides:
   its checkpoint, or to zero without one), the flap hysteresis
   quarantines a node that keeps dying, and ``restore()`` is the
   operator's way back.
+* **the crash drill** — :func:`crash_contract` judges the three modes,
+  and a finished drill leaves no journal handle open;
 * **hypothesis properties** — across random traces, kill instants and
   all four schedulers: every submitted job reaches exactly one terminal
   state (conservation), the journal holds at most one terminal record
@@ -23,23 +25,26 @@ The tentpole's contract, pinned from four sides:
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import tempfile
+import warnings
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RatelPolicy
-from repro.faults import NodeCrash, NodeFaultSchedule, NodeFlap
-from repro.faults.schedule import FaultScheduleError
 from repro.fleet import (
     Fleet,
     FleetError,
     FleetJournal,
     JobSpec,
     Node,
+    crash_contract,
+    run_bursty_drill,
     run_crash_drill,
 )
 from repro.hardware import evaluation_server
@@ -99,12 +104,16 @@ def kill_minus_nine(fleet) -> str:
     return path
 
 
-def journaled_fleet(tmp_path, scheduler="fifo", n=2, oracle=None, **kwargs):
+def journaled_fleet(tmp_path, scheduler="fifo", n=2, oracle=None):
     path = str(tmp_path / "journal.jsonl")
-    fleet = Fleet(
-        stub_nodes(n), scheduler, oracle=oracle or StubOracle(), journal=path, **kwargs
-    )
+    fleet = Fleet(stub_nodes(n), scheduler, oracle=oracle or StubOracle(), journal=path)
     return fleet, path
+
+
+def flap(fleet, node="n0"):
+    """Three crashes of ``node`` 25 s apart (5 s down each): a flap."""
+    for at in (10.0, 35.0, 60.0):
+        fleet.inject_crash(at, node, rejoin_after=5.0)
 
 
 # -- journal fold ---------------------------------------------------------------
@@ -350,21 +359,14 @@ class TestCrashRecovery:
         recovered.journal.close()
 
     def test_quarantine_survives_coordinator_crash(self, tmp_path):
-        fleet, path = journaled_fleet(
-            tmp_path, n=2, flap_window=1000.0, flap_threshold=3
-        )
-        NodeFaultSchedule(
-            (NodeFlap(at=10.0, node="n0", cycles=3, down_s=5.0, up_s=20.0),)
-        ).install(fleet)
+        fleet, path = journaled_fleet(tmp_path, n=2)
+        flap(fleet)
         fleet.run_until(100.0)
         assert fleet._by_name["n0"].quarantined
         kill_minus_nine(fleet)
         del fleet
 
-        recovered = Fleet.recover(
-            path, stub_nodes(2), "fifo", oracle=StubOracle(),
-            flap_window=1000.0, flap_threshold=3,
-        )
+        recovered = Fleet.recover(path, stub_nodes(2), "fifo", oracle=StubOracle())
         assert recovered.journal.repaired_bytes == len(TORN)
         n0 = recovered._by_name["n0"]
         assert n0.quarantined and n0.alive and not n0.free
@@ -421,13 +423,8 @@ class TestNodeFailStop:
         assert with_ckpt.finished_at < without.finished_at
 
     def test_flap_trips_quarantine_and_restore_clears_it(self, tmp_path):
-        fleet = Fleet(
-            stub_nodes(2), "fifo", oracle=StubOracle(),
-            flap_window=1000.0, flap_threshold=3,
-        )
-        NodeFaultSchedule(
-            (NodeFlap(at=10.0, node="n0", cycles=3, down_s=5.0, up_s=20.0),)
-        ).install(fleet)
+        fleet = Fleet(stub_nodes(2), "fifo", oracle=StubOracle())
+        flap(fleet)
         fleet.run_until(100.0)
         n0 = fleet._by_name["n0"]
         assert n0.quarantined and n0.alive  # back up, but not schedulable
@@ -439,14 +436,15 @@ class TestNodeFailStop:
         assert not n0.quarantined and n0.crash_times == [] and n0.free
 
     def test_crashes_outside_flap_window_do_not_quarantine(self, tmp_path):
-        fleet = Fleet(
-            stub_nodes(2), "fifo", oracle=StubOracle(),
-            flap_window=20.0, flap_threshold=2,
-        )
-        fleet.inject_crash(10.0, "n0", rejoin_after=5.0)
-        fleet.inject_crash(100.0, "n0", rejoin_after=5.0)  # window expired
-        fleet.run_until(200.0)
-        assert not fleet._by_name["n0"].quarantined
+        fleet = Fleet(stub_nodes(2), "fifo", oracle=StubOracle())
+        # The first crash is 3,690 s before the third, outside the
+        # 3,600 s flap window: only two count when the third lands.
+        for at in (10.0, 3000.0, 3700.0):
+            fleet.inject_crash(at, "n0", rejoin_after=5.0)
+        fleet.run_until(4000.0)
+        n0 = fleet._by_name["n0"]
+        assert n0.crash_times == [10.0, 3000.0, 3700.0]
+        assert not n0.quarantined
 
     def test_double_crash_is_a_noop(self, tmp_path):
         fleet = Fleet(stub_nodes(2), "fifo", oracle=StubOracle())
@@ -461,46 +459,6 @@ class TestNodeFailStop:
             fleet.inject_crash(1.0, "ghost")
         with pytest.raises(FleetError, match="rejoin_after"):
             fleet.inject_crash(1.0, "n0", rejoin_after=0.0)
-        with pytest.raises(FleetError, match="flap_threshold"):
-            Fleet(stub_nodes(1), "fifo", oracle=StubOracle(), flap_threshold=1)
-        with pytest.raises(FleetError, match="flap_window"):
-            Fleet(stub_nodes(1), "fifo", oracle=StubOracle(), flap_window=0.0)
-
-
-class TestNodeFaultSchedule:
-    def test_flap_expands_to_crash_rejoin_pairs(self):
-        flap = NodeFlap(at=100.0, node="x", cycles=2, down_s=10.0, up_s=20.0)
-        crashes = flap.crashes()
-        assert [c.at for c in crashes] == [100.0, 130.0]
-        assert all(c.rejoin_after == 10.0 for c in crashes)
-
-    def test_duplicate_event_rejected(self):
-        crash = NodeCrash(at=5.0, node="x")
-        with pytest.raises(FaultScheduleError, match="duplicate"):
-            NodeFaultSchedule((crash, crash))
-
-    def test_overlapping_dead_windows_rejected(self):
-        with pytest.raises(FaultScheduleError, match="overlapping"):
-            NodeFaultSchedule(
-                (
-                    NodeCrash(at=5.0, node="x", rejoin_after=100.0),
-                    NodeCrash(at=50.0, node="x"),
-                )
-            )
-
-    def test_crash_into_permanently_dead_node_rejected(self):
-        with pytest.raises(FaultScheduleError, match="overlapping"):
-            NodeFaultSchedule(
-                (NodeCrash(at=5.0, node="x"), NodeCrash(at=500.0, node="x"))
-            )
-
-    def test_event_validation(self):
-        with pytest.raises(FaultScheduleError):
-            NodeCrash(at=-1.0, node="x")
-        with pytest.raises(FaultScheduleError):
-            NodeCrash(at=1.0, node="x", rejoin_after=-3.0)
-        with pytest.raises(FaultScheduleError, match="cycles"):
-            NodeFlap(at=1.0, node="x", cycles=1)
 
 
 # -- the crash drill ------------------------------------------------------------
@@ -538,7 +496,7 @@ class TestCrashDrill:
 
     def test_resume_mode_loses_and_duplicates_nothing(self, tmp_path):
         report = self._run("resume", journal_path=str(tmp_path / "drill.jsonl"))
-        assert report.passed
+        assert crash_contract([report]) == []
         assert report.lost_jobs == 0 and report.duplicated_jobs == 0
         assert report.journal_repaired_bytes > 0
         assert report.checkpoints > 0
@@ -548,15 +506,50 @@ class TestCrashDrill:
     def test_restart_redoes_at_least_as_much_as_resume(self, tmp_path):
         resume = self._run("resume")
         restart = self._run("restart")
-        assert resume.passed and restart.passed
+        assert crash_contract([resume, restart]) == []
         assert resume.lost_iterations <= restart.lost_iterations
         assert restart.checkpoints == 0
 
     def test_no_journal_mode_reports_the_loss(self):
         report = self._run("no-journal", kill_at=900.0)
+        assert crash_contract([report]) == []
         assert report.lost_jobs > 0  # the baseline the journal exists to kill
         assert report.journal_records == 0
         assert math.isnan(report.makespan_s)
+
+    def test_contract_flags_each_broken_rule(self):
+        resume, restart, bare = (
+            self._run(mode) for mode in ("resume", "restart", "no-journal")
+        )
+        assert crash_contract([resume, restart, bare]) == []
+        broken = [
+            replace(resume, lost_jobs=2),
+            replace(restart, duplicated_jobs=1, lost_iterations=0),
+            replace(bare, lost_jobs=0),
+        ]
+        violations = crash_contract(broken)
+        assert len(violations) == 4, violations
+        assert "resume mode lost 2" in violations[0]
+        assert "restart mode double-completed 1" in violations[1]
+        assert "journal-less baseline lost no jobs" in violations[2]
+        assert "strictly less work" in violations[3]
+
+    def test_drills_leave_no_journal_handle_open(self, tmp_path):
+        """A drained fleet closes its journal: neither drill leaks the
+        keep-open append handle to the garbage collector."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            self._run("resume")
+            run_bursty_drill(
+                "sjf",
+                n_jobs=8,
+                oracle=StubOracle(speeds=self.SPEEDS),
+                nodes=drill_nodes(),
+                journal=str(tmp_path / "bursty.jsonl"),
+            )
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(FleetError, match="unknown crash-drill mode"):

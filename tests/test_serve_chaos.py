@@ -110,3 +110,23 @@ def test_drill_trace_retrieves_ledger_records(drill):
     assert code == 0, text
     assert "ledger record(s)" in text
     assert "[serve" in text
+
+
+def test_selftest_exit_code_follows_the_drill_violations(monkeypatch):
+    """``repro serve --selftest`` prints ext_serve's tables and exits by
+    the drill's own verdict: 0 on a clean run, 1 once a violation is
+    forced (here: no cache entry left for the corrupt-cache phase)."""
+    import io
+
+    from repro.cli import main
+    from repro.serve import chaos
+
+    out = io.StringIO()
+    assert main(["serve", "--selftest"], out=out) == 0, out.getvalue()
+    text = out.getvalue()
+    assert "hardening audit" in text and "0 SLO violations" in text
+
+    monkeypatch.setattr(chaos.glob, "glob", lambda pattern: [])
+    out = io.StringIO()
+    assert main(["serve", "--selftest"], out=out) == 1
+    assert "no cache entry to corrupt" in out.getvalue()
