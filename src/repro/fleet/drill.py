@@ -45,7 +45,7 @@ import os
 import tempfile
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs import tracectx
 from repro.obs.ledger import RunLedger
@@ -93,27 +93,21 @@ class CrashDrillReport:
     scheduler: str
     mode: str
     submitted: int
-    #: Jobs with exactly one terminal state after recovery + drain.
-    accounted: int
-    completed: int
     #: Submitted jobs with *no* terminal state.
     lost_jobs: int
     pre_crash_completed: int
-    rejected: int = 0
     #: Jobs with more than one terminal journal record.
     duplicated_jobs: int = 0
     #: Iterations executed then rolled back (redone work) across the run.
     lost_iterations: int = 0
     checkpoints: int = 0
-    #: Node crashes and quarantines the *recovered* coordinator recorded;
-    #: those before the kill died with the old coordinator's event log.
-    node_crashes: int = 0
+    #: Quarantines the *recovered* coordinator recorded; those before the
+    #: kill died with the old coordinator's event log.
     quarantines: int = 0
     recovered_requeued: int = 0
     makespan_s: float = math.nan
     journal_records: int = 0
     journal_repaired_bytes: int = 0
-    events: list[str] = field(default_factory=list)
 
 
 def crash_contract(reports: Iterable[CrashDrillReport]) -> list[str]:
@@ -203,18 +197,14 @@ def run_crash_drill(
         pre_crash_completed = sum(
             1 for job_id in fleet._order if fleet.result(job_id) is not None
         )
-        events = [str(event) for event in fleet.events]
         if not journaled:
             # Nothing on disk: every non-terminal job dies with the fleet.
             return CrashDrillReport(
                 scheduler,
                 mode,
                 submitted=n_jobs,
-                accounted=pre_crash_completed,
-                completed=pre_crash_completed,
                 lost_jobs=n_jobs - pre_crash_completed,
                 pre_crash_completed=pre_crash_completed,
-                events=events[-20:],
             )
 
         # -- phase 2: kill -9 -------------------------------------------------
@@ -245,8 +235,6 @@ def run_crash_drill(
             if not node.alive:
                 recovered.inject_rejoin(recovered.now + REJOIN_GRACE_S, node.name)
         outcome = recovered.drain()
-        events.append("--- kill -9 / recover ---")
-        events.extend(str(event) for event in recovered.events)
 
         journal = recovered.journal
         assert journal is not None
@@ -264,21 +252,16 @@ def run_crash_drill(
             scheduler,
             mode,
             submitted=n_jobs,
-            accounted=accounted,
-            completed=metrics["completed"],
             lost_jobs=n_jobs - accounted,
             pre_crash_completed=pre_crash_completed,
-            rejected=metrics["rejected"],
             duplicated_jobs=sum(1 for count in terminals.values() if count > 1),
             lost_iterations=metrics["lost_iterations"],
             checkpoints=metrics["checkpoints"],
-            node_crashes=metrics["node_crashes"],
             quarantines=metrics["quarantines"],
             recovered_requeued=recovered_requeued,
             makespan_s=outcome.makespan,
             journal_records=len(records),
             journal_repaired_bytes=journal.repaired_bytes,
-            events=events[-40:],
         )
 
 

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 from repro.adapt.health import BW_RATIO, BandwidthDrift, DriftEvent, DriveDrift
 from repro.core.policy import OffloadPolicy
 from repro.hardware.spec import ServerSpec
-from repro.obs import tracectx
 
 from .api import FleetError
 
@@ -72,10 +71,6 @@ class Node:
         self.quarantined = False
         #: Fleet-clock instants of every crash (the hysteresis counter).
         self.crash_times: list[float] = []
-        #: The ambient trace the most recent degrade/restore happened
-        #: under (``""`` when none) — links a health transition back to
-        #: the chaos injection or request that caused it.
-        self.last_trace_id = ""
         #: (provisioned spec, (failed_ssds, bw_sag), the spec derived from them).
         self._derived: tuple[ServerSpec, tuple[int, float], ServerSpec] | None = None
 
@@ -103,12 +98,10 @@ class Node:
         """Fail-stop at fleet time ``now`` (the cluster unseats the job)."""
         self.alive = False
         self.crash_times.append(now)
-        self.last_trace_id = tracectx.current_trace_id()
 
     def rejoin(self) -> None:
         """Come back after a fail-stop (quarantine, if any, persists)."""
         self.alive = True
-        self.last_trace_id = tracectx.current_trace_id()
 
     def current_server(self) -> ServerSpec:
         """The spec as degraded *right now* — what jobs actually run on.
@@ -165,7 +158,6 @@ class Node:
             self.failed_ssds = failed_ssds
         if bw_sag is not None:
             self.bw_sag = bw_sag
-        self.last_trace_id = tracectx.current_trace_id()
         return self._drift(surviving)
 
     def restore(self) -> list[DriftEvent]:
@@ -179,7 +171,6 @@ class Node:
         self.bw_sag = 1.0
         self.quarantined = False
         self.crash_times.clear()
-        self.last_trace_id = tracectx.current_trace_id()
         return self._drift(surviving)
 
     def _drift(self, surviving_before: int) -> list[DriftEvent]:

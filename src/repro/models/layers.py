@@ -69,7 +69,7 @@ class BlockProfile:
         return self.segments[-1].nbytes
 
 
-def gpt_block_profile(config: TransformerConfig, batch_size: int) -> BlockProfile:
+def gpt_block_profile(config: TransformerConfig | DiTConfig, batch_size: int) -> BlockProfile:
     """Segments of one GPT block for a given batch size.
 
     Tensor inventory (t = batch x seq tokens, h = hidden):
@@ -112,29 +112,20 @@ def gpt_block_profile(config: TransformerConfig, batch_size: int) -> BlockProfil
 
 
 def dit_block_profile(config: DiTConfig, batch_size: int) -> BlockProfile:
-    """Segments of one DiT block (adds the adaLN modulation tensor).
+    """Segments of one DiT block: the adaLN modulation tensor, then the
+    GPT block's eight segments in their order.
 
     The adaLN modulation is per-sample, not per-token, so its activation
     is tiny (12 b h bytes) while its projection costs 12 b h^2 FLOPs —
     the highest offloading benefit in the block, as expected: conditioning
     tensors should always be swapped, never recomputed.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size}")
-    s = config.seq_len
-    h = config.hidden_dim
+    gpt = gpt_block_profile(config, batch_size)
     b = batch_size
-    t = b * s
+    h = config.hidden_dim
     segments = (
         ActivationSegment("adaln_out", FP16 * 6 * b * h, 12.0 * b * h * h),
-        ActivationSegment("ln1_out", FP16 * t * h, 5.0 * t * h),
-        ActivationSegment("qkv_out", FP16 * 3 * t * h, 6.0 * t * h * h),
-        ActivationSegment("attn_ctx", FP16 * t * h, 4.0 * b * s * s * h),
-        ActivationSegment("proj_out", FP16 * t * h, 2.0 * t * h * h),
-        ActivationSegment("ln2_out", FP16 * t * h, 5.0 * t * h),
-        ActivationSegment("fc1_out", FP16 * 4 * t * h, 8.0 * t * h * h),
-        ActivationSegment("gelu_out", FP16 * 4 * t * h, 32.0 * t * h),
-        ActivationSegment("blk_out", FP16 * t * h, 8.0 * t * h * h + t * h),
+        *gpt.segments,
     )
     forward_flops = sum(seg.recompute_flops for seg in segments)
     return BlockProfile(segments, forward_flops, config.block_params)

@@ -49,6 +49,9 @@ CACHE_VERSION = 2
 #: Layer tags reported by :meth:`ResultCache.get`.
 MEMORY, DISK = "memory", "disk"
 
+#: Most live values the memory layer holds; the least recently used goes first.
+LRU_SIZE = 4096
+
 
 def _checksum(payload: dict[str, Any]) -> int:
     return zlib.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
@@ -94,13 +97,10 @@ class CacheStats:
 class ResultCache:
     """Content-keyed memoization: in-memory LRU plus optional disk store."""
 
-    maxsize: int = 4096
     disk_dir: str | os.PathLike | None = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        if self.maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
         self._lru: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.RLock()
         self._inflight: dict[str, threading.Event] = {}
@@ -189,29 +189,23 @@ class ResultCache:
         keep the entry memory-only.
         """
         with self._lock:
-            self._lru[key] = live
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.maxsize:
-                self._lru.popitem(last=False)
+            self.promote(key, live)
             self.stats.stores += 1
         if payload is not None:
             self._disk_write(key, payload)
 
     def promote(self, key: str, live: Any) -> None:
-        """Install a decoded disk hit into the memory layer (no disk write)."""
+        """Install a value (a decoded disk hit) in the memory layer only."""
         with self._lock:
             self._lru[key] = live
             self._lru.move_to_end(key)
-            while len(self._lru) > self.maxsize:
+            while len(self._lru) > LRU_SIZE:
                 self._lru.popitem(last=False)
 
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the memory layer (and the disk store with ``disk=True``)."""
+    def clear(self) -> None:
+        """Drop the memory layer."""
         with self._lock:
             self._lru.clear()
-        if disk and self._dir is not None and self._dir.is_dir():
-            for path in self._dir.glob("*/*.json"):
-                self._discard(path)
 
     # -- disk layer ------------------------------------------------------------
 

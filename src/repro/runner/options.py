@@ -61,14 +61,6 @@ class RunOptions:
             values[field.name] = getattr(args, field.name, field.default)
         return cls(**values)
 
-    @property
-    def requested(self) -> bool:
-        """True when any runner knob (not ``adapt``) was actually given."""
-        return any(
-            value is not None
-            for value in (self.jobs, self.cache_dir, self.retries, self.timeout, self.ledger)
-        )
-
     def apply(self, *, attach_ledger: bool = True) -> None:
         """Point the shared default sweep at the requested executor/cache.
 

@@ -55,7 +55,7 @@ from repro.models.profile import profile_model
 from repro.obs import tracectx
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry, RegistrySnapshot
-from repro.util.backoff import BackoffPolicy
+from repro.util.backoff import BackoffPolicy, retry_call
 
 from .cache import DISK, ResultCache, decode_value, encode_value
 from .keys import cache_key, memo_token, same_value
@@ -64,6 +64,14 @@ logger = logging.getLogger("repro.runner")
 
 #: Executor modes accepted by :class:`Sweep`.
 EXECUTORS = ("serial", "process")
+
+#: Point kinds :func:`compute_point` answers (``evaluate`` first: the
+#: fleet builds hundreds of those per drill).
+KINDS = ("evaluate", "max_trainable", "max_batch", "max_global_batch", "data_parallel", "adaptive")
+
+#: Seconds before the first retry of a failing point; each further retry
+#: waits twice as long.
+RETRY_BACKOFF_S = 0.05
 
 #: Most content keys :meth:`SweepPoint.key` remembers; a full memo is
 #: emptied before the next key goes in.
@@ -128,6 +136,10 @@ class SweepPoint:
     batch_size: int | None = None
     simulate_infeasible: bool = False
     cap: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise SweepError(f"unknown sweep point kind {self.kind!r}; choose from {KINDS}")
 
     # -- constructors ----------------------------------------------------------
 
@@ -285,17 +297,16 @@ def compute_point(point: SweepPoint) -> Any:
         return max_global_batch(point.policy, point.config, point.server)
     if point.kind == "data_parallel":
         return _compute_data_parallel(point)
-    if point.kind == "adaptive":
-        # Imported lazily: repro.adapt pulls in the whole planning stack,
-        # which plain evaluate-only sweeps should not pay for.
-        from repro.adapt import drill_outcome
+    # "adaptive", the last of KINDS.  Imported lazily: repro.adapt pulls
+    # in the whole planning stack, which evaluate-only sweeps should not
+    # pay for.
+    from repro.adapt import drill_outcome
 
-        return drill_outcome(
-            model_name=point.config.name,
-            batch_size=point.batch_size,
-            server=point.server,
-        )
-    raise SweepError(f"unknown sweep point kind {point.kind!r}")
+    return drill_outcome(
+        model_name=point.config.name,
+        batch_size=point.batch_size,
+        server=point.server,
+    )
 
 
 def _compute_data_parallel(point: SweepPoint) -> EvalOutcome:
@@ -367,17 +378,17 @@ def _pool_compute(
 class Sweep:
     """Cached, optionally parallel evaluation over grids of sweep points.
 
-    ``executor`` picks the default fan-out mode for :meth:`run`:
-    ``"serial"`` (in-process, keeps live traces) or ``"process"`` (a
-    ``ProcessPoolExecutor``; workers return metric payloads).
-    ``cache_dir`` turns on the on-disk JSON store (conventionally
-    ``.repro_cache/``).  ``progress`` receives a
+    ``executor`` picks the fan-out mode of :meth:`run`: ``"serial"``
+    (in-process, keeps live traces) or ``"process"`` (a
+    ``ProcessPoolExecutor`` of ``max_workers``; workers return metric
+    payloads).  ``cache_dir`` turns on the on-disk JSON store
+    (conventionally ``.repro_cache/``).  ``progress`` receives a
     :class:`ProgressEvent` per completed point.
 
     Robustness knobs:
 
     * ``retries`` — how many times a failing point is recomputed (with
-      exponential backoff starting at ``retry_backoff_s``) before its
+      exponential backoff starting at :data:`RETRY_BACKOFF_S`) before its
       failure is final.  A crashed worker process counts as a failed
       attempt for every point that was in flight on the broken pool.
     * ``timeout`` — per-point wall-clock budget in seconds.  Enforced in
@@ -396,11 +407,11 @@ class Sweep:
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or a path string)
     turns on the longitudinal run ledger: every *computed*
-    ``evaluate``/``data_parallel`` outcome is appended as one JSONL
-    entry (content key, git SHA, hardware, metrics + attribution) —
-    cache hits are not re-recorded, so the ledger is a log of
-    evaluations that actually executed.  A ledger write failure is
-    logged, never fatal to the sweep.
+    ``evaluate``/``data_parallel``/``adaptive`` outcome is appended as
+    one JSONL entry (content key, git SHA, hardware, metrics +
+    attribution) — cache hits are not re-recorded, so the ledger is a
+    log of evaluations that actually executed.  A ledger write failure
+    is logged, never fatal to the sweep.
     """
 
     executor: str = "serial"
@@ -408,7 +419,6 @@ class Sweep:
     cache_dir: str | None = None
     progress: ProgressHook | None = None
     retries: int = 0
-    retry_backoff_s: float = 0.05
     timeout: float | None = None
     on_error: str = "raise"
     registry: MetricsRegistry = None  # type: ignore[assignment]
@@ -429,7 +439,7 @@ class Sweep:
         # pool resubmission) sleep on.  Jitter-free: sweep retries are
         # single-tenant, and the tests pin deterministic behaviour.
         self._backoff = BackoffPolicy(
-            base_s=self.retry_backoff_s,
+            base_s=RETRY_BACKOFF_S,
             factor=2.0,
             max_attempts=self.retries + 1,
             jitter="none",
@@ -504,30 +514,12 @@ class Sweep:
     def run_point(self, point: SweepPoint) -> Any:
         """Evaluate one point through the cache (with retry/quarantine)."""
         key = point.key()
-        cached = self._lookup(key)
-        if cached is not _MISS:
-            self.registry.counter("sweep_cache_hits_total").inc(kind=point.kind)
-            return cached
-        self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
-        started = time.perf_counter()
-        value = self._compute_resilient(point)
-        if not isinstance(value, PointFailure):
-            self.cache.put(key, value, encode_value(value))
-            self._record_ledger(point, value, key=key)
-        logger.debug(
-            "computed %s in %.3fs", point.label(), time.perf_counter() - started
-        )
-        return value
+        value = self._lookup(point, key)
+        return self._compute(point, key) if value is _MISS else value
 
     # -- grid API --------------------------------------------------------------
 
-    def run(
-        self,
-        points: Iterable[SweepPoint],
-        *,
-        executor: str | None = None,
-        max_workers: int | None = None,
-    ) -> list[Any]:
+    def run(self, points: Iterable[SweepPoint]) -> list[Any]:
         """Evaluate a grid of points; results are ordered like the input.
 
         Cache hits are served without touching the pool; distinct points
@@ -535,9 +527,6 @@ class Sweep:
         fires once per point, in completion order.
         """
         points = list(points)
-        mode = executor or self.executor
-        if mode not in EXECUTORS:
-            raise SweepError(f"unknown executor {mode!r}; choose from {EXECUTORS}")
         total = len(points)
         results: list[Any] = [None] * total
         started = time.perf_counter()
@@ -549,23 +538,27 @@ class Sweep:
             if key in pending:  # duplicate of an already-missed point
                 pending[key].append(index)
                 continue
-            cached = self._lookup(key)
-            if cached is not _MISS:
-                self.registry.counter("sweep_cache_hits_total").inc(kind=point.kind)
-                results[index] = cached
-                self._report(index, total, point, cached=True, started=started, value=cached)
-            else:
-                self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
+            cached = self._lookup(point, key)
+            if cached is _MISS:
                 pending[key] = [index]
                 unique[key] = point
-
-        if pending:
-            # A single miss is not worth a pool — unless a per-point
-            # timeout is set, which only the process pool can enforce.
-            if mode == "serial" or (len(unique) == 1 and self.timeout is None):
-                self._drain_serial(pending, unique, results, total, started)
             else:
-                self._drain_pool(max_workers, pending, unique, results, total, started)
+                results[index] = cached
+                self._report(index, total, point, cached=True, started=started, value=cached)
+
+        def resolve(key: str, value: Any) -> None:
+            """Install ``value`` in every result slot that shares ``key``."""
+            for index in pending[key]:
+                results[index] = value
+                self._report(index, total, unique[key], cached=False, started=started, value=value)
+
+        # A single miss is not worth a pool — unless a per-point timeout
+        # is set, which only the process pool can enforce.
+        if self.executor == "serial" or (len(unique) == 1 and self.timeout is None):
+            for key, point in unique.items():
+                resolve(key, self._compute(point, key))
+        elif unique:
+            self._drain_pool(unique, resolve)
 
         quarantined = [value for value in results if is_failure(value)]
         summary_args: list[Any] = [
@@ -584,20 +577,90 @@ class Sweep:
 
     # -- internals -------------------------------------------------------------
 
-    def _record_ledger(self, point: SweepPoint, value: Any, *, key: str = "") -> None:
-        """Append a computed evaluation to the run ledger (never fatal)."""
-        if self.ledger is None or not isinstance(self.ledger, RunLedger):
-            return
-        if point.kind not in ("evaluate", "data_parallel", "adaptive"):
-            return
-        if not isinstance(value, EvalOutcome):
+    def _lookup(self, point: SweepPoint, key: str) -> Any:
+        """The cached value of ``point`` (``_MISS`` if none), counting the hit or miss."""
+        hit = self.cache.get(key)
+        if hit is None:
+            self.registry.counter("sweep_cache_misses_total").inc(kind=point.kind)
+            return _MISS
+        layer, stored = hit
+        if layer == DISK:
+            stored = decode_value(stored)
+            self.cache.promote(key, stored)
+        if isinstance(stored, EvalOutcome):
+            # A copy, not in-place mutation: the stored outcome keeps
+            # cached=False, so the first (computed) return value is never
+            # retroactively re-flagged by a later hit on the same object.
+            stored = dataclasses.replace(stored, cached=True)
+        self.registry.counter("sweep_cache_hits_total").inc(kind=point.kind)
+        return stored
+
+    def _compute(self, point: SweepPoint, key: str) -> Any:
+        """Compute a missed point in-process, retrying it through
+        :func:`~repro.util.backoff.retry_call`, and store the value (a
+        failure that survives every attempt goes to :meth:`_fail`)."""
+
+        def timed() -> Any:
+            started = time.perf_counter()
+            value = compute_point(point)
+            elapsed = time.perf_counter() - started
+            self.registry.histogram("sweep_point_seconds").observe(elapsed, kind=point.kind)
+            logger.debug("computed %s in %.3fs", point.label(), elapsed)
+            return value
+
+        def count_retry(attempt: int, exc: BaseException) -> None:
+            self.registry.counter("sweep_retries_total").inc(kind=point.kind)
+
+        try:
+            value = retry_call(
+                timed,
+                policy=self._backoff,
+                what=f"point {point.label()}",
+                retry_on=(Exception,),
+                on_retry=count_retry,
+            )
+        except Exception as exc:  # noqa: BLE001 — resilience boundary
+            return self._fail(point, exc, self._backoff.max_attempts)
+        self._store(point, key, value, encode_value(value))
+        return value
+
+    def _fail(
+        self, point: SweepPoint, exc: BaseException, attempts: int, *, timed_out: bool = False
+    ) -> PointFailure:
+        """A point's final failure: raised under ``on_error="raise"``, else
+        logged, counted and returned as its :class:`PointFailure`."""
+        if self.on_error == "raise":
+            raise exc
+        logger.error(
+            "quarantining point %s after %d attempt(s): %s", point.label(), attempts, exc
+        )
+        error_type = type(exc).__name__
+        self.registry.counter("sweep_failures_total").inc(kind=point.kind, error=error_type)
+        return PointFailure(
+            kind=point.kind,
+            label=point.label(),
+            error_type=error_type,
+            message=str(exc),
+            attempts=attempts,
+            timed_out=timed_out,
+        )
+
+    def _store(self, point: SweepPoint, key: str, value: Any, payload: dict[str, Any]) -> None:
+        """Keep a computed value in the cache and, for an evaluation, append
+        it to the run ledger (a ledger write failure is never fatal)."""
+        self.cache.put(key, value, payload)
+        if (
+            not isinstance(self.ledger, RunLedger)
+            or point.kind not in ("evaluate", "data_parallel", "adaptive")
+            or not isinstance(value, EvalOutcome)
+        ):
             return
         try:
             self.ledger.record(
                 value,
                 label=point.label(),
                 kind=point.kind,
-                config_key=key or point.key(),
+                config_key=key,
                 server=point.server,
                 source="runner",
             )
@@ -608,62 +671,13 @@ class Sweep:
                 point.label(), self.ledger.path,
             )
 
-    def _compute_resilient(self, point: SweepPoint) -> Any:
-        """Compute one point in-process with retry/backoff/quarantine."""
-        attempts = self._backoff.max_attempts
-        for attempt in range(1, attempts + 1):
-            started = time.perf_counter()
-            try:
-                value = compute_point(point)
-            except SweepError:
-                raise  # malformed points are a caller bug, not a transient fault
-            except Exception as exc:  # noqa: BLE001 — resilience boundary
-                if attempt < attempts:
-                    delay = self._backoff.delay(attempt - 1)
-                    self.registry.counter("sweep_retries_total").inc(kind=point.kind)
-                    logger.warning(
-                        "point %s failed (attempt %d/%d): %s; retrying in %.3fs",
-                        point.label(), attempt, attempts, exc, delay,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if self.on_error == "raise":
-                    raise
-                logger.error(
-                    "quarantining point %s after %d attempt(s): %s",
-                    point.label(), attempt, exc,
-                )
-                self.registry.counter("sweep_failures_total").inc(
-                    kind=point.kind, error=type(exc).__name__
-                )
-                return PointFailure(
-                    kind=point.kind,
-                    label=point.label(),
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=attempt,
-                )
-            self.registry.histogram("sweep_point_seconds").observe(
-                time.perf_counter() - started, kind=point.kind
-            )
-            return value
-        raise AssertionError("unreachable")  # pragma: no cover
+    def _drain_pool(
+        self, unique: dict[str, SweepPoint], resolve: Callable[[str, Any], None]
+    ) -> None:
+        """Fan missed points out over a process pool, surviving bad workers.
 
-    def _drain_serial(self, pending, unique, results, total, started) -> None:
-        for key, point in unique.items():
-            value = self._compute_resilient(point)
-            if isinstance(value, PointFailure):
-                self._resolve(key, value, pending, unique, results, total, started)
-                continue
-            self.cache.put(key, value, encode_value(value))
-            self._record_ledger(point, value, key=key)
-            self._resolve(key, value, pending, unique, results, total, started)
-
-    def _drain_pool(self, max_workers, pending, unique, results, total, started) -> None:
-        """Fan pending points out over a process pool, surviving bad workers.
-
-        A future that raises is retried up to ``retries`` times by
+        Each point's value or failure goes to ``resolve`` as it lands.  A
+        future that raises is retried up to ``retries`` times by
         resubmission; a broken pool (a worker died — OOM kill,
         ``os._exit`` — seen as a lost future or as a refused
         resubmission) is rebuilt and every in-flight point charged one
@@ -671,13 +685,12 @@ class Sweep:
         ``timeout`` is abandoned (its worker cannot be preempted, so the
         pool is finally shut down without waiting for stragglers).
         """
-        workers = max_workers or self.max_workers
         # Capture the submitting side's trace once: every point of this
         # drain belongs to the request that started the sweep.  Workers
         # get it in the task payload (contextvars do not cross process
         # boundaries).
         trace_payload = tracectx.current_payload()
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=self.max_workers)
         attempts: dict[str, int] = {}
         futures: dict[Future, str] = {}
         deadlines: dict[Future, float] = {}
@@ -699,40 +712,20 @@ class Sweep:
             if self.timeout is not None:
                 deadlines[future] = time.monotonic() + self.timeout
 
-        def fail(key: str, exc: BaseException, *, timed_out: bool = False) -> None:
-            point = unique[key]
-            logger.error(
-                "quarantining point %s after %d attempt(s): %s",
-                point.label(), attempts[key], exc,
-            )
-            self.registry.counter("sweep_failures_total").inc(
-                kind=point.kind, error=type(exc).__name__
-            )
-            failure = PointFailure(
-                kind=point.kind,
-                label=point.label(),
-                error_type=type(exc).__name__,
-                message=str(exc),
-                attempts=attempts[key],
-                timed_out=timed_out,
-            )
-            self._resolve(key, failure, pending, unique, results, total, started)
-
         def retry_or_fail(key: str, exc: BaseException) -> None:
-            if attempts[key] <= self.retries:
-                self.registry.counter("sweep_retries_total").inc(kind=unique[key].kind)
-                delay = self._backoff.delay(attempts[key] - 1)
-                logger.warning(
-                    "point %s failed (attempt %d/%d): %s; retrying in %.3fs",
-                    unique[key].label(), attempts[key], self.retries + 1, exc, delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                submit(key)
-            elif self.on_error == "raise":
-                raise exc
-            else:
-                fail(key, exc)
+            point = unique[key]
+            if attempts[key] > self.retries:
+                resolve(key, self._fail(point, exc, attempts[key]))
+                return
+            self.registry.counter("sweep_retries_total").inc(kind=point.kind)
+            delay = self._backoff.delay(attempts[key] - 1)
+            logger.warning(
+                "point %s failed (attempt %d/%d): %s; retrying in %.3fs",
+                point.label(), attempts[key], self.retries + 1, exc, delay,
+            )
+            if delay > 0:
+                time.sleep(delay)
+            submit(key)
 
         try:
             for key in unique:
@@ -747,7 +740,7 @@ class Sweep:
                     futures.clear()
                     deadlines.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = ProcessPoolExecutor(max_workers=self.max_workers)
                     self.registry.counter("sweep_pool_rebuilds_total").inc()
                     logger.warning(
                         "worker pool broke (%s); rebuilding and retrying %d in-flight point(s)",
@@ -785,9 +778,7 @@ class Sweep:
                         exc = TimeoutError(
                             f"point exceeded the per-point timeout of {self.timeout:.3g}s"
                         )
-                        if self.on_error == "raise":
-                            raise exc
-                        fail(key, exc, timed_out=True)
+                        resolve(key, self._fail(unique[key], exc, attempts[key], timed_out=True))
 
                 for future in done:
                     key = futures.pop(future, None)
@@ -816,33 +807,10 @@ class Sweep:
                             )
                         )
                     value = decode_value(envelope)
-                    self.cache.put(key, value, envelope)
-                    self._record_ledger(unique[key], value, key=key)
-                    self._resolve(key, value, pending, unique, results, total, started)
+                    self._store(unique[key], key, value, envelope)
+                    resolve(key, value)
         finally:
             pool.shutdown(wait=not had_stragglers, cancel_futures=True)
-
-    def _resolve(self, key, value, pending, unique, results, total, started) -> None:
-        """Install ``value`` in every result slot that shares ``key``."""
-        point = unique[key]
-        for index in pending[key]:
-            results[index] = value
-            self._report(index, total, point, cached=False, started=started, value=value)
-
-    def _lookup(self, key: str) -> Any:
-        hit = self.cache.get(key)
-        if hit is None:
-            return _MISS
-        layer, stored = hit
-        if layer == DISK:
-            stored = decode_value(stored)
-            self.cache.promote(key, stored)
-        if isinstance(stored, EvalOutcome):
-            # A copy, not in-place mutation: the stored outcome keeps
-            # cached=False, so the first (computed) return value is never
-            # retroactively re-flagged by a later hit on the same object.
-            stored = dataclasses.replace(stored, cached=True)
-        return stored
 
     def _report(
         self, index: int, total: int, point: SweepPoint, *, cached: bool, started: float, value: Any

@@ -19,6 +19,7 @@ for :meth:`repro.runtime.offload.RatelRuntime.add_step_hook`.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 import re
@@ -115,16 +116,19 @@ def load_checkpoint(path: str, model: Module, optimizer: CPUAdam) -> int:
     while the model and optimizer are still untouched, so a failed
     restore never leaves half-installed state.
     """
-    try:
-        archive = np.load(path)
-    except FileNotFoundError:
-        raise CheckpointError(f"checkpoint {path!r} does not exist") from None
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(
-            f"checkpoint {path!r} is unreadable (truncated or corrupt "
-            f"download/copy?): {exc}"
-        ) from exc
-    with archive:
+    # The handle is ours, not np.load's: np.load leaks the file it opened
+    # when the zip directory of a truncated checkpoint fails to parse.
+    with contextlib.ExitStack() as stack:
+        try:
+            handle = stack.enter_context(open(path, "rb"))
+            archive = stack.enter_context(np.load(handle))
+        except FileNotFoundError:
+            raise CheckpointError(f"checkpoint {path!r} does not exist") from None
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(
+                f"checkpoint {path!r} is unreadable (truncated or corrupt "
+                f"download/copy?): {exc}"
+            ) from exc
         try:
             staged = {key: archive[key] for key in archive.files}
         except (OSError, ValueError, zipfile.BadZipFile, KeyError) as exc:

@@ -2,8 +2,11 @@
 
 Three boundaries retry transient failures with exponential backoff: the
 storage layer's spill I/O (:class:`~repro.runtime.storage.StorageManager`),
-the sweep runner's point retries and the planner service's sim-backend
-calls.  This module is the single implementation they all share:
+the planner service's sim-backend calls and the sweep runner's point
+retries (:class:`~repro.runner.Sweep`).  All three retry through
+:func:`retry_call`, except that the runner's process pool, which must not
+block on one worker, resubmits a failed point after the same policy's
+:meth:`BackoffPolicy.delay`:
 
 * :class:`BackoffPolicy` — the *schedule*: exponential growth from
   ``base_s`` by ``factor``, an optional ``max_delay_s`` cap, a bounded

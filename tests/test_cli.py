@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +65,7 @@ class TestTraceCommand:
         path = str(tmp_path / "trace.json")
         code, text = run_cli("trace", "13B", "8", "-o", path)
         assert code == 0
-        payload = json.load(open(path))
+        payload = json.loads(Path(path).read_text())
         assert len(payload["traceEvents"]) > 100
 
 
@@ -88,7 +89,7 @@ class TestTraceExport:
     def test_stage_markers_included(self, result, tmp_path):
         path = str(tmp_path / "t.json")
         write_chrome_trace(result.trace, path, stage_windows=result.stage_windows)
-        payload = json.load(open(path))
+        payload = json.loads(Path(path).read_text())
         names = {e["name"] for e in payload["traceEvents"]}
         assert "forward" in names and "backward" in names
 
@@ -120,9 +121,9 @@ class TestObsReportCommand:
             "obs", "report", "13B", "8", "--trace", trace_path, "--metrics", metrics_path
         )
         assert code == 0
-        payload = json.load(open(trace_path))
+        payload = json.loads(Path(trace_path).read_text())
         assert len(payload["traceEvents"]) > 100
-        prom = open(metrics_path).read()
+        prom = Path(metrics_path).read_text()
         assert "# TYPE sweep_cache_misses_total counter" in prom
 
 
@@ -221,7 +222,7 @@ class TestObsDiffCommand:
         self._record(path)
         code, _ = run_cli("obs", "diff", path, path, "--json", out_path)
         assert code == 0
-        payload = json.load(open(out_path))
+        payload = json.loads(Path(out_path).read_text())
         assert payload["delta_pct"] == pytest.approx(0.0)
         assert payload["stages"]
 
@@ -259,7 +260,7 @@ class TestObsHtmlCommand:
         code, text = run_cli("obs", "html", "13B", "8", "-o", path)
         assert code == 0
         assert f"wrote {path}" in text
-        html = open(path).read()
+        html = Path(path).read_text()
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html
         assert "<script" not in html.lower()
@@ -273,7 +274,7 @@ class TestObsHtmlCommand:
         assert code == 0
         code, _ = run_cli("obs", "html", "13B", "8", "-o", path, "--ledger", ledger)
         assert code == 0
-        assert "Run ledger" in open(path).read()
+        assert "Run ledger" in Path(path).read_text()
 
     def test_infeasible_point_fails(self, tmp_path):
         code, text = run_cli(
@@ -506,10 +507,10 @@ class TestObsProfileCommand:
         )
         assert code == 0
         assert "cold sweep profile" in text
-        doc = json.load(open(speedscope))
+        doc = json.loads(Path(speedscope).read_text())
         assert doc["profiles"][0]["samples"]
-        assert open(folded).read().strip()
-        assert "attributed" in open(summary).read()
+        assert Path(folded).read_text().strip()
+        assert "attributed" in Path(summary).read_text()
 
     def test_infeasible_point_fails(self, tmp_path):
         code, text = run_cli(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -126,7 +127,7 @@ class TestWriteRunReport:
     def test_writes_file(self, tmp_path, outcome):
         path = str(tmp_path / "report.html")
         write_run_report(path, title="t", outcome=outcome)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("<!DOCTYPE html>")
         assert "<svg" in text
 

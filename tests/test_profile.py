@@ -8,6 +8,7 @@ scope's safety contract: no nesting, hook restored whatever happens.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,13 +97,13 @@ class TestExports:
     def test_speedscope_writes_loadable_json(self, cold_sweep_report, tmp_path):
         path = str(tmp_path / "p.speedscope.json")
         cold_sweep_report.write_speedscope(path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         assert doc["profiles"][0]["samples"]
 
     def test_collapsed_stacks_fold(self, cold_sweep_report, tmp_path):
         path = str(tmp_path / "p.folded.txt")
         cold_sweep_report.write_collapsed(path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines
         for line in lines:
             frames, _, weight = line.rpartition(" ")

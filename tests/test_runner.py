@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.runner.cache as cache_module
 import repro.runner.sweep as sweep_module
 from repro.baselines import G10Policy, MegatronPolicy, ZeroInfinityPolicy
 from repro.core import RatelPolicy
@@ -456,8 +457,9 @@ class TestEvalOutcome:
 
 
 class TestResultCacheUnit:
-    def test_lru_eviction(self):
-        cache = ResultCache(maxsize=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "LRU_SIZE", 2)
+        cache = ResultCache()
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")
@@ -515,10 +517,17 @@ class TestSweepValidation:
         with pytest.raises(SweepError):
             Sweep(timeout=0.0)
 
+    def test_unknown_point_kind_rejected_when_built(self):
+        """A malformed point never reaches an executor, so the serial and
+        the pool path cannot treat it differently."""
+        with pytest.raises(SweepError, match="unknown sweep point kind 'bogus'"):
+            SweepPoint(kind="bogus", policy=RatelPolicy(), server=SERVER, config=CONFIG)
+
 
 class TestQuarantineSerial:
-    def test_poisoned_point_quarantined_others_complete(self):
-        sweep = Sweep(retries=1, retry_backoff_s=0.001, on_error="quarantine")
+    def test_poisoned_point_quarantined_others_complete(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.001)
+        sweep = Sweep(retries=1, on_error="quarantine")
         points = [
             SweepPoint.evaluate(RatelPolicy(), CONFIG, 8, SERVER),
             SweepPoint.evaluate(PoisonPolicy(), CONFIG, 8, SERVER),
@@ -539,8 +548,9 @@ class TestQuarantineSerial:
         with pytest.raises(FaultInjected):
             sweep.run([SweepPoint.evaluate(PoisonPolicy(), CONFIG, 8, SERVER)])
 
-    def test_retry_rescues_flaky_point(self, tmp_path):
-        sweep = Sweep(retries=2, retry_backoff_s=0.001, on_error="quarantine")
+    def test_retry_rescues_flaky_point(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.001)
+        sweep = Sweep(retries=2, on_error="quarantine")
         policy = FlakyPolicy(str(tmp_path), fail_times=2)
         [outcome] = sweep.run([SweepPoint.evaluate(policy, CONFIG, 8, SERVER)])
         assert isinstance(outcome, EvalOutcome)
@@ -565,10 +575,11 @@ class TestQuarantineSerial:
 
 
 class TestQuarantinePool:
-    def test_worker_crash_and_poison_quarantine_only_the_poison(self, tmp_path):
+    def test_worker_crash_and_poison_quarantine_only_the_poison(self, tmp_path, monkeypatch):
         """The acceptance scenario: one worker hard-crashes (retried after
         the pool is rebuilt), one point always raises (quarantined); the
         healthy points all complete."""
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.01)
         points = [
             SweepPoint.evaluate(RatelPolicy(), CONFIG, 8, SERVER),
             SweepPoint.evaluate(CrashPolicy(str(tmp_path)), CONFIG, 8, SERVER),
@@ -579,7 +590,6 @@ class TestQuarantinePool:
             executor="process",
             max_workers=2,
             retries=2,
-            retry_backoff_s=0.01,
             on_error="quarantine",
         )
         outcomes = sweep.run(points)
@@ -621,9 +631,8 @@ class TestQuarantinePool:
         monkeypatch.setattr(
             "repro.runner.sweep.ProcessPoolExecutor", BreaksAfterFirstFailure
         )
-        sweep = Sweep(
-            executor="process", retries=2, retry_backoff_s=0.0, on_error="quarantine"
-        )
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.0)
+        sweep = Sweep(executor="process", retries=2, on_error="quarantine")
         outcomes = sweep.run(
             [
                 SweepPoint.evaluate(RatelPolicy(), CONFIG, 8, SERVER),
@@ -648,12 +657,12 @@ class TestQuarantinePool:
         with pytest.raises(Exception):  # noqa: B017 - BrokenProcessPool
             sweep.run(points)
 
-    def test_flaky_point_retried_across_workers(self, tmp_path):
+    def test_flaky_point_retried_across_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.01)
         sweep = Sweep(
             executor="process",
             max_workers=2,
             retries=2,
-            retry_backoff_s=0.01,
             on_error="quarantine",
         )
         policy = FlakyPolicy(str(tmp_path), fail_times=2)
@@ -684,6 +693,36 @@ class TestQuarantinePool:
         sweep = Sweep(executor="process", max_workers=1, timeout=0.5, on_error="raise")
         with pytest.raises(TimeoutError):
             sweep.run([SweepPoint.evaluate(SlowPolicy(2.0), CONFIG, 8, SERVER)])
+
+
+class TestExecutorsQuarantineAlike:
+    def test_poisoned_point_fails_the_same_serial_and_pooled(self, monkeypatch):
+        """The in-process retry and the pool's resubmission quarantine a
+        point through one path: same failure record, same counters."""
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.001)
+        # The healthy second point keeps the process sweep on the pool.
+        points = [
+            SweepPoint.evaluate(PoisonPolicy(), CONFIG, 8, SERVER),
+            SweepPoint.evaluate(RatelPolicy(), CONFIG, 8, SERVER),
+        ]
+        seen = {}
+        for executor in ("serial", "process"):
+            sweep = Sweep(executor=executor, max_workers=2, retries=1, on_error="quarantine")
+            failure, outcome = sweep.run(points)
+            assert isinstance(outcome, EvalOutcome) and outcome.feasible
+            metrics = sweep.metrics()
+            seen[executor] = (
+                failure.attempts,
+                failure.error_type,
+                failure.message,
+                failure.timed_out,
+                metrics.value("sweep_retries_total", kind="evaluate"),
+                metrics.value("sweep_failures_total", kind="evaluate", error="FaultInjected"),
+            )
+        assert seen["serial"] == seen["process"]
+        assert seen["serial"] == (
+            2, "FaultInjected", "Poison: injected evaluation failure", False, 1.0, 1.0
+        )
 
 
 class TestShimsRemoved:
@@ -737,14 +776,14 @@ class TestSummaryLine:
 
 
 class TestRetryThenTimeout:
-    def test_transient_failure_then_slow_retry_quarantines(self, tmp_path):
+    def test_transient_failure_then_slow_retry_quarantines(self, tmp_path, monkeypatch):
         """A point whose retry hangs burns both its attempts: the first
         raises (earning the retry), the retry hits the per-point timeout."""
+        monkeypatch.setattr(sweep_module, "RETRY_BACKOFF_S", 0.01)
         sweep = Sweep(
             executor="process",
             max_workers=2,
             retries=1,
-            retry_backoff_s=0.01,
             timeout=0.5,
             on_error="quarantine",
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestCheckpointFailurePaths:
         with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB):
             model, _, optimizer = fresh_training()
             save_checkpoint(path, optimizer.cpu_adam)
-            payload = open(path, "rb").read()
+            payload = Path(path).read_bytes()
             with open(path, "wb") as handle:
                 handle.write(payload[: len(payload) // 2])
             with pytest.raises(CheckpointError, match="unreadable"):
@@ -179,7 +180,7 @@ class TestAtomicSave:
         with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB):
             model, _, optimizer = fresh_training()
             save_checkpoint(path, optimizer.cpu_adam, step=1)
-            good = open(path, "rb").read()
+            good = Path(path).read_bytes()
 
             def torn_write(handle, **payload):
                 handle.write(b"partial")
@@ -190,7 +191,7 @@ class TestAtomicSave:
                 save_checkpoint(path, optimizer.cpu_adam, step=2)
             monkeypatch.undo()
 
-            assert open(path, "rb").read() == good  # previous file untouched
+            assert Path(path).read_bytes() == good  # previous file untouched
             assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
             assert load_checkpoint(path, model, optimizer.cpu_adam) == 1
 

@@ -245,6 +245,7 @@ class TestHTTPTraceparent:
         start_in_thread(server)
         yield server
         server.shutdown()
+        server.server_close()
 
     def _post(self, server, payload, headers=None):
         import json as _json
@@ -332,16 +333,20 @@ class TestFleetStamping:
         traced = [e for e in entries if "traced" in e.label]
         assert traced and all(e.trace_id == ctx.trace_id for e in traced)
 
-    def test_node_records_last_trace_on_degrade(self):
-        from repro.fleet import Node
-
-        node = Node("n0", evaluation_server(n_ssds=2), RatelPolicy())
+    def test_node_degrade_ledgered_under_ambient_trace(self, tmp_path):
+        """A node's health change is linked to the trace it happened
+        under by its ledger decision: a degrade processed under a trace
+        carries that trace_id, a restore processed outside one carries none."""
+        fleet = self._fleet(tmp_path)
+        fleet.inject(10.0, "n0", failed_ssds=1)
+        fleet.inject(20.0, "n0", restore=True)
         ctx = tracectx.new_trace()
         with tracectx.activate(ctx):
-            node.degrade(failed_ssds=1)
-        assert node.last_trace_id == ctx.trace_id
-        node.restore()
-        assert node.last_trace_id == ""
+            fleet.run_until(15.0)
+        fleet.drain()
+        entries = load_ledger(str(tmp_path / "fleet.jsonl")).entries()
+        stamps = [(e.metrics["decision"]["decision"], e.trace_id) for e in entries]
+        assert stamps == [("degrade", ctx.trace_id), ("restore", "")]
 
 
 class TestAdaptStamping:
