@@ -7,8 +7,8 @@
   the three servers of ``tests/test_plan_golden.py``;
 * data-parallel Ratel and ZeRO-Infinity on 2 and 4 GPUs;
 * one run per fault kind (SSD dropout, a bandwidth sag on ``ssd`` and on
-  ``pcie_m2g0``, a latency stall) and one run with a mid-iteration
-  ``HealthProbe`` installed.
+  ``pcie_m2g0``, a latency stall) and one three-drive dropout whose
+  record also holds the ``remaining_ssds`` the run reports.
 
 Per case the record holds the iteration time, the hidden optimizer
 seconds and the stage windows; the interval count and a sha256 over
@@ -33,7 +33,6 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.adapt import HealthProbe
 from repro.baselines import (
     CapuchinPolicy,
     CheckmatePolicy,
@@ -79,7 +78,7 @@ POLICIES = (
     ("zero-offload", ZeroOffloadPolicy),
 )
 
-#: The fault and probe cases run Ratel 13B at batch 32 on this server.
+#: The fault and drive-count cases run Ratel 13B at batch 32 on this server.
 FAULT_SERVER = evaluation_server(gpu=RTX_4090, main_memory_bytes=256 * GiB, n_ssds=6)
 FAULTS = (
     ("none", ()),
@@ -185,15 +184,11 @@ def _fault_records() -> list[dict]:
         record = {"case": f"fault/{name}"}
         record.update(_result_record(result, events, collect_metrics(result, estimate=estimate)))
         records.append(record)
-    probe = HealthProbe(interval=0.5)
     faults = FaultSchedule((SSDDropout(at=2.0, count=3),))
-    result, events = _counted(run_iteration, FAULT_SERVER, schedule, faults=faults, health=probe)
-    record = {"case": "probe/ssd-dropout"}
+    result, events = _counted(run_iteration, FAULT_SERVER, schedule, faults=faults)
+    record = {"case": "drives/ssd-dropout"}
     record.update(_result_record(result, events, collect_metrics(result, estimate=estimate)))
-    record["probe_samples"] = [
-        [_exact(s.time), s.remaining_ssds, _exact(s.read_bytes), _exact(s.written_bytes)]
-        for s in probe.samples
-    ]
+    record["remaining_ssds"] = result.remaining_ssds
     records.append(record)
     return records
 
