@@ -5,12 +5,13 @@ a health monitor attached must train at the speed of a runtime that has
 never heard of :mod:`repro.adapt`.  Two numbers on a small
 ``train_step`` loop:
 
-* **detached** — the default state.  The only instrumented site is one
-  ``self._health is None`` check in ``train_step``; the bar is **< 2%**
-  vs a baseline timed the same way.
-* **attached** — :class:`~repro.adapt.RuntimeHealth` installed, every
-  step timed and fed through the EWMA drift detector.  Recorded for
-  information (no tight bar: monitoring genuinely does work per step).
+* **detached** — the default state: no health hook registered, so the
+  step path runs only the ``perf_counter`` stamp every step opens with;
+  the bar is **< 2%** vs a baseline timed the same way.
+* **attached** — :class:`~repro.adapt.RuntimeHealth` registered with
+  ``add_step_hook``, every step timed and fed through the EWMA drift
+  detector.  Recorded for information (no tight bar: monitoring
+  genuinely does work per step).
 
 Timings take the **best of several interleaved repeats** — the minimum
 of a deterministic NumPy loop is a low-variance estimator, and
@@ -91,17 +92,16 @@ def test_detached_health_monitor_is_free():
         detached: list[float] = []
         attached: list[float] = []
         for _ in range(REPEATS):
-            # "baseline" and "detached" run the identical code path
-            # (self._health is None in both); timing them separately
+            # "baseline" and "detached" run the identical code path (no
+            # health hook registered in either); timing them separately
             # turns the assertion into a same-vs-same comparison whose
             # spread IS the measurement noise floor, with the <2% bar
             # above it.
-            runtime._health = None
             baseline.append(timed_steps())
             detached.append(timed_steps())
-            runtime.attach_health(health)
+            runtime.add_step_hook(health)
             attached.append(timed_steps())
-        runtime._health = None
+            runtime._step_hooks.remove(health)
 
     off, on = min(baseline), min(detached)
     monitored = min(attached)

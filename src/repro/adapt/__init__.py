@@ -25,17 +25,14 @@ package closes the loop at runtime:
   its deadline it steps down the ladder, and it steps back up with
   hysteresis once health recovers (no flapping).  Every decision is an
   obs span, a metrics counter and a ledger annotation;
-* :mod:`~repro.adapt.driver` — the fault-drill harness: a
-  :class:`HealthProbe` that samples the simulated machine mid-iteration
-  (cooperating with :class:`~repro.faults.FaultSchedule`), the standard
-  PR-2 drill (one SSD dropout + a bandwidth sag), and
-  :func:`run_drill` comparing the *stale*, *replan-once* (oracle) and
-  *adaptive* postures;
-* :mod:`~repro.adapt.runtime_hook` — :class:`RuntimeHealth`, the
-  health-check hook for :meth:`RatelRuntime.train_step
-  <repro.runtime.offload.RatelRuntime.train_step>`: step-time drift and
-  storage error rates drive a runtime ladder (NVMe→host checkpoints,
-  synchronous optimizer) with the same hysteresis semantics.
+* :mod:`~repro.adapt.driver` — the fault-drill harness: the standard
+  PR-2 drill (one SSD dropout + a bandwidth sag), and :func:`run_drill`
+  comparing the *stale*, *replan-once* (oracle) and *adaptive*
+  postures, the controller reading each iteration's result;
+* :mod:`~repro.adapt.runtime_hook` — :class:`RuntimeHealth`, a step
+  hook for :class:`~repro.runtime.offload.RatelRuntime`: step-time
+  drift and storage error rates drive a runtime ladder (NVMe→host
+  checkpoints, synchronous optimizer) with the same hysteresis semantics.
 
 Surfaced through ``repro sweep --adapt``, the ``ext_adaptive``
 experiment and the ``chaos-drill`` CI job.
@@ -45,9 +42,7 @@ from .controller import AdaptiveController, Decision
 from .driver import (
     POSTURES,
     DrillStep,
-    HealthProbe,
     PostureRun,
-    ProbeSample,
     drill_outcome,
     run_drill,
     standard_drill,
@@ -76,9 +71,7 @@ __all__ = [
     "Decision",
     "POSTURES",
     "DrillStep",
-    "HealthProbe",
     "PostureRun",
-    "ProbeSample",
     "drill_outcome",
     "run_drill",
     "standard_drill",

@@ -173,8 +173,8 @@ class AdaptiveController:
         """Fold one finished iteration and decide what the next one runs.
 
         ``result`` is duck-typed (see :meth:`HealthMonitor.observe_result`);
-        extra signals — probe bandwidth samples, injector error counters —
-        can be fed to :attr:`monitor` directly before calling this.
+        ``remaining_ssds`` is the drive count the iteration ended with.
+        Other signals can be fed to :attr:`monitor` directly before this.
         """
         self.iteration += 1
         if result is not None:

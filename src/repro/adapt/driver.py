@@ -12,8 +12,9 @@ postures:
 * ``replan_once`` — the oracle: one replan at the first iteration that
   *starts* degraded, with perfect knowledge of the surviving array;
 * ``adaptive``    — the :class:`~repro.adapt.controller.AdaptiveController`
-  fed by a mid-iteration :class:`HealthProbe`, discovering the machine
-  state the way a real deployment would.
+  fed each finished iteration's result (its trace, stage windows and
+  the drives it ended with), discovering the machine state the way a
+  real deployment would.
 
 Comparisons are in seconds-per-token so ladder rungs that change the
 micro-batch stay commensurable.  :func:`drill_outcome` wraps the whole
@@ -45,6 +46,10 @@ POSTURES = ("stale", "replan_once", "adaptive")
 
 #: Sag windows cover the whole iteration; "forever" in sim seconds.
 _SAG_FOREVER = 1e9
+
+#: The drill's default array, as in ``ext_resilience``: each failure
+#: visibly costs bandwidth, and the healthy plan swaps activations to SSD.
+BASELINE_SSDS = 6
 
 
 @dataclass(frozen=True)
@@ -100,53 +105,6 @@ def standard_drill() -> tuple[DrillStep, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ProbeSample:
-    """One mid-iteration machine observation."""
-
-    time: float
-    remaining_ssds: int
-    read_bytes: float
-    written_bytes: float
-
-
-class HealthProbe:
-    """Periodic in-sim sampler installed via ``run_iteration(health=...)``.
-
-    The engine builds its :class:`~repro.sim.Machine` internally, so the
-    surviving-drive count after a mid-iteration dropout is invisible from
-    the returned result; the probe rides the simulation and carries that
-    state out.  The sampler stops at the first tick after ``until``
-    (the iteration's main process) has triggered.
-    """
-
-    def __init__(self, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise AdaptError(f"probe interval must be positive, got {interval}")
-        self.interval = interval
-        self.samples: list[ProbeSample] = []
-
-    def install(self, machine, until) -> None:
-        machine.sim.process(self._sampler(machine, until))
-
-    def _sampler(self, machine, until):
-        while not until.triggered:
-            yield machine.sim.timeout(self.interval)
-            self.samples.append(
-                ProbeSample(
-                    time=machine.sim.now,
-                    remaining_ssds=max(machine.server.n_ssds - machine.failed_ssds, 0),
-                    read_bytes=machine.ssd.total_read,
-                    written_bytes=machine.ssd.total_written,
-                )
-            )
-
-    @property
-    def remaining_ssds(self) -> int | None:
-        """Surviving drives at the last sample (``None`` when never fired)."""
-        return self.samples[-1].remaining_ssds if self.samples else None
-
-
 @dataclass
 class PostureRun:
     """One posture's trip through a drill."""
@@ -178,7 +136,6 @@ def run_drill(
     posture: str,
     model_name: str = "135B",
     batch_size: int = 40,
-    n_ssds: int = 6,
     drill: Sequence[DrillStep] | None = None,
     *,
     server: ServerSpec | None = None,
@@ -188,15 +145,15 @@ def run_drill(
     """Run one posture through a drill and collect per-iteration numbers.
 
     The workload defaults to ``ext_resilience``'s: 135B at batch 40 on
-    the 6-drive evaluation server, where the healthy plan spills
-    activations to SSD — the decision adaptation can revisit.  An
-    explicit ``server`` overrides the ``n_ssds`` preset.
+    the evaluation server cut to :data:`BASELINE_SSDS` drives, where the
+    healthy plan spills activations to SSD — the decision adaptation can
+    revisit.  An explicit ``server`` replaces that array.
     """
     if posture not in POSTURES:
         raise AdaptError(f"unknown posture {posture!r}; choose from {POSTURES}")
     steps = tuple(drill) if drill is not None else standard_drill()
     if server is None:
-        server = evaluation_server().with_ssds(n_ssds)
+        server = evaluation_server().with_ssds(BASELINE_SSDS)
     profile = profile_model(llm(model_name), batch_size)
     policy = RatelPolicy()
 
@@ -210,31 +167,22 @@ def run_drill(
     replanned = False
     for step in steps:
         step_server = degraded_server(server, step.n_failed)
-        faults = step.faults()
         if controller is not None:
-            probe = HealthProbe()
-            active = controller.schedule
-            result = run_iteration(step_server, active, faults=faults, health=probe)
-            remaining = probe.remaining_ssds
-            if remaining is None:
-                remaining = max(step_server.n_ssds - step.dropout_count, 0)
-            controller.finish_iteration(result, remaining_ssds=remaining)
-            tokens = active.model.tokens_per_iteration
-        else:
-            if posture == "replan_once" and not replanned and step.n_failed > 0:
-                schedule = policy.compile(profile, step_server)
-                replanned = True
-            result = run_iteration(step_server, schedule, faults=faults)
-            tokens = schedule.model.tokens_per_iteration
+            schedule = controller.schedule
+        elif posture == "replan_once" and not replanned and step.n_failed > 0:
+            schedule = policy.compile(profile, step_server)
+            replanned = True
+        result = run_iteration(step_server, schedule, faults=step.faults())
+        if controller is not None:
+            controller.finish_iteration(result, remaining_ssds=result.remaining_ssds)
         run.iteration_times.append(result.iteration_time)
-        run.tokens.append(tokens)
+        run.tokens.append(schedule.model.tokens_per_iteration)
     return run
 
 
 def drill_outcome(
     model_name: str = "135B",
     batch_size: int = 40,
-    n_ssds: int = 6,
     drill: Sequence[DrillStep] | None = None,
     *,
     server: ServerSpec | None = None,
@@ -247,7 +195,7 @@ def drill_outcome(
     the adaptive controller's swap count and its non-hold decisions.
     """
     if server is None:
-        server = evaluation_server().with_ssds(n_ssds)
+        server = evaluation_server().with_ssds(BASELINE_SSDS)
     runs: dict[str, PostureRun] = {}
     for posture in POSTURES:
         runs[posture] = run_drill(

@@ -53,10 +53,10 @@ OVERRUN_POLLS = 2
 class Ewma:
     """An exponentially-weighted moving average (``None`` until fed)."""
 
-    def __init__(self, alpha: float = 0.5) -> None:
-        if not 0 < alpha <= 1:
-            raise AdaptError(f"EWMA alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    #: Reacts within two observations while still halving single-sample noise.
+    alpha = 0.5
+
+    def __init__(self) -> None:
         self.value: float | None = None
 
     def update(self, sample: float) -> float:
@@ -223,9 +223,7 @@ class HealthMonitor:
 
     ``hardware`` is the :class:`HardwareProfile` the active plan was
     built against; ``estimate`` (optional) the plan's
-    :class:`IterationEstimate` for stage-overrun comparison.  Every
-    EWMA uses :class:`Ewma`'s default ``alpha`` of 0.5, which reacts
-    within two observations while still halving single-sample noise.
+    :class:`IterationEstimate` for stage-overrun comparison.
     """
 
     def __init__(

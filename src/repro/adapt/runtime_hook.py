@@ -19,16 +19,16 @@ rung  name              change
 2     sync_optimizer    active gradient offloading off (deferred Adam)
 ====  ================  ================================================
 
-Attach with :meth:`RatelRuntime.attach_health`; the runtime calls
-:meth:`on_step` after every ``train_step``.  Detached (the default), the
-only cost on the step path is one attribute check — benchmarked <2% in
-``benchmarks/bench_adapt.py``.
+Register it with :meth:`RatelRuntime.add_step_hook
+<repro.runtime.offload.RatelRuntime.add_step_hook>`: it folds every step
+of every variant, timed from ``runtime.step_started`` to the moment the
+hook runs (``benchmarks/bench_adapt.py`` times it registered and not).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -44,7 +44,7 @@ STEP_RECOVER_RATIO = 1.0 + (OVERRUN_RATIO - 1.0) / 2.0
 
 
 class RuntimeHealth:
-    """Watch live ``train_step`` timings and walk the runtime ladder."""
+    """Watch live step timings and walk the runtime ladder."""
 
     def __init__(
         self,
@@ -52,7 +52,6 @@ class RuntimeHealth:
         warmup_steps: int = 3,
         recover_polls: int = 3,
         registry: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if warmup_steps < 1:
             raise AdaptError(f"warmup_steps must be >= 1, got {warmup_steps}")
@@ -61,7 +60,6 @@ class RuntimeHealth:
         self.warmup_steps = warmup_steps
         self.recover_polls = recover_polls
         self.registry = registry
-        self.clock = clock
 
         self.rung = 0
         #: ``(step, action, rung_name, reason)`` per ladder move.
@@ -77,6 +75,10 @@ class RuntimeHealth:
         self._errors_last = 0
 
     # -- the hook ------------------------------------------------------------
+
+    def __call__(self, runtime) -> None:
+        """Step hook: time the step that just ended and fold it."""
+        self.on_step(runtime, time.perf_counter() - runtime.step_started)
 
     def on_step(self, runtime, dt: float) -> None:
         """Fold one measured step; possibly mutate ``runtime``'s rung."""

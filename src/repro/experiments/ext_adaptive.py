@@ -12,9 +12,10 @@ detection and replan live.
 * **replan once** — the oracle: a single replan at the first iteration
   that starts degraded, with perfect knowledge of the surviving array.
 * **adaptive**    — the :class:`~repro.adapt.AdaptiveController`:
-  EWMA drift detection over mid-iteration probe samples, Algorithm-1
-  replans on drift, the degradation ladder when replanning alone cannot
-  meet the deadline, and hysteresis on the way back up.
+  EWMA drift detection over each iteration's result (effective SSD
+  bandwidth, stage times, the drives the iteration ended with),
+  Algorithm-1 replans on drift, the degradation ladder when replanning
+  alone cannot meet the deadline, and hysteresis on the way back up.
 
 The second table is the adaptive controller's decision timeline — every
 plan swap with the :class:`~repro.adapt.health.DriftEvent` that
@@ -24,23 +25,15 @@ triggered it, which is the audit trail the run ledger records.
 from __future__ import annotations
 
 from repro.adapt import POSTURES, run_drill, standard_drill
+from repro.adapt.driver import BASELINE_SSDS
 from repro.analysis.report import ExperimentResult
-from repro.hardware import evaluation_server
-
-#: Same healthy array as ``ext_resilience``: six drives, where each
-#: failure visibly costs bandwidth and the healthy plan swaps
-#: activations to SSD (the decision adaptation revisits).
-BASELINE_SSDS = 6
 
 
 def run(model_name: str = "135B", batch_size: int = 40) -> list[ExperimentResult]:
     """The standard fault drill under stale / replan-once / adaptive."""
-    server = evaluation_server().with_ssds(BASELINE_SSDS)
     drill = standard_drill()
     runs = {
-        posture: run_drill(
-            posture, model_name, batch_size, drill=drill, server=server
-        )
+        posture: run_drill(posture, model_name, batch_size, drill=drill)
         for posture in POSTURES
     }
 
@@ -66,7 +59,8 @@ def run(model_name: str = "135B", batch_size: int = 40) -> list[ExperimentResult
     table.note(
         "replan-once is the oracle (told about the failure, replans "
         "instantly and perfectly); the adaptive controller has to detect "
-        "the same drift from effective-bandwidth EWMAs and probe samples, "
+        "the same drift from effective-bandwidth EWMAs and the drive count "
+        "each iteration reports, "
         "then un-do its response when the array heals — the gap between "
         "the two rows is the price of detection latency and hysteresis"
     )

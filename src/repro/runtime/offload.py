@@ -41,6 +41,7 @@ The ``optimizer_mode`` axis relaxes the synchronous barrier (the
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 import numpy as np
@@ -125,6 +126,9 @@ class RatelRuntime:
         self._pending_grads: list[tuple[str, "np.ndarray"]] = []
         self._suppress_handlers = False
         self.step = 0
+        #: ``time.perf_counter()`` when the current (or last) step began;
+        #: a step hook times the step as ``perf_counter() - step_started``.
+        self.step_started = 0.0
         #: parameter names updated this step, in hook-firing order —
         #: lets tests assert the last-block-first arrival order of §IV-C.
         self.update_order: list[str] = []
@@ -133,10 +137,6 @@ class RatelRuntime:
         #: (all variants) — the attachment point for periodic
         #: checkpointing and other end-of-step policies.
         self._step_hooks: list[Callable[["RatelRuntime"], None]] = []
-        #: Optional :class:`repro.adapt.RuntimeHealth` (duck-typed:
-        #: ``clock()`` and ``on_step(runtime, dt)``).  ``None`` keeps the
-        #: step path free of timing calls.
-        self._health = None
 
         target_blocks = blocks if blocks is not None else getattr(model, "blocks", [])
         for index, block in enumerate(target_blocks):
@@ -189,9 +189,9 @@ class RatelRuntime:
             checkpoint_tier=context.checkpoint_tier,
             active_offload=context.active_offload,
             delayed_update=context.delayed_update,
-            optimizer_mode=getattr(context, "optimizer_mode", "sync"),
-            stale_k=getattr(context, "stale_k", 0),
-            critical_frac=getattr(context, "critical_frac", 0.0),
+            optimizer_mode=context.optimizer_mode,
+            stale_k=context.stale_k,
+            critical_frac=context.critical_frac,
         )
 
     # -- public API -------------------------------------------------------------
@@ -207,6 +207,9 @@ class RatelRuntime:
         always captures a consistent state.  A hook that raises aborts
         the step's epilogue: by then the training state is already
         consistent, and a failing checkpoint must surface, not vanish.
+        A hook that times the step (``perf_counter() - step_started``,
+        e.g. :class:`repro.adapt.RuntimeHealth`) also times the hooks
+        registered before it.
         """
         if not callable(hook):
             raise TypeError(f"step hook must be callable, got {type(hook)!r}")
@@ -216,17 +219,13 @@ class RatelRuntime:
         for hook in self._step_hooks:
             hook(self)
 
-    def attach_health(self, health) -> None:
-        """Install a health monitor on the step path (``None`` detaches).
-
-        ``health`` is duck-typed — ``clock()`` plus
-        ``on_step(runtime, dt)`` — in practice a
-        :class:`repro.adapt.RuntimeHealth`, whose ladder may mutate
-        :attr:`checkpoint_tier` and :attr:`active_offload` live.
-        """
-        if health is not None and not callable(getattr(health, "on_step", None)):
-            raise TypeError(f"health must define on_step(runtime, dt), got {health!r}")
-        self._health = health
+    def _begin_step(self) -> None:
+        """The prologue every step variant shares (stamps :attr:`step_started`)."""
+        self.step_started = time.perf_counter()
+        self.step += 1
+        self.update_order.clear()
+        self.model.zero_grad()
+        self._apply_overlap_updates(self._nonblock_param_names, "head")
 
     def train_step(self, loss_fn: Callable[[], Tensor]) -> float:
         """Run one iteration: forward + backward (+ optimizer, per mode).
@@ -234,23 +233,9 @@ class RatelRuntime:
         ``loss_fn`` builds the loss tensor (it closes over the batch);
         returns the scalar loss value.  Under an active
         :func:`repro.obs.observe` block the step is recorded as spans
-        (one ``rt_step`` slice, forward/backward stage windows).  An
-        attached health monitor sees the measured duration after every
-        step.
+        (one ``rt_step`` slice, forward/backward stage windows).
         """
-        health = self._health
-        if health is None:
-            return self._train_step_inner(loss_fn)
-        start = health.clock()
-        loss = self._train_step_inner(loss_fn)
-        health.on_step(self, health.clock() - start)
-        return loss
-
-    def _train_step_inner(self, loss_fn: Callable[[], Tensor]) -> float:
-        self.step += 1
-        self.update_order.clear()
-        self.model.zero_grad()
-        self._apply_overlap_updates(self._nonblock_param_names, "head")
+        self._begin_step()
         rec = _spans.recorder()
         if rec is None:
             loss = loss_fn()
@@ -302,10 +287,7 @@ class RatelRuntime:
         """
         if not loss_fns:
             raise ValueError("need at least one micro-batch")
-        self.step += 1
-        self.update_order.clear()
-        self.model.zero_grad()
-        self._apply_overlap_updates(self._nonblock_param_names, "head")
+        self._begin_step()
         total = 0.0
         scale = 1.0 / len(loss_fns)
         with _spans.maybe_span(_spans.RT_STEP, f"train_step_accumulate_s{self.step}"):
@@ -339,10 +321,7 @@ class RatelRuntime:
                 "update; construct the runtime with active_offload=False "
                 "(or clip per-parameter upstream)"
             )
-        self.step += 1
-        self.update_order.clear()
-        self.model.zero_grad()
-        self._apply_overlap_updates(self._nonblock_param_names, "head")
+        self._begin_step()
         with _spans.maybe_span(_spans.RT_STEP, f"train_step_clipped_s{self.step}"):
             loss = loss_fn()
             loss.backward()

@@ -27,7 +27,7 @@ Every layer is built to degrade loudly instead of failing silently:
 """
 
 from .admission import AdmissionController, AdmissionDecision, TokenBucket
-from .breaker import BreakerOpen, CircuitBreaker
+from .breaker import CircuitBreaker
 from .chaos import ChaosReport, run_chaos_drill
 from .http import PlannerHTTPServer, make_server, run_daemon, start_in_thread
 from .journal import JournalAccounting, RequestJournal
@@ -42,7 +42,6 @@ from .service import (
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "BreakerOpen",
     "ChaosReport",
     "CircuitBreaker",
     "DegradationLadder",

@@ -30,10 +30,6 @@ from typing import Callable
 STATES = ("closed", "open", "half_open")
 
 
-class BreakerOpen(RuntimeError):
-    """Raised (or signalled) when the breaker refuses a call."""
-
-
 @dataclass(frozen=True)
 class BreakerTransition:
     """One state change, timestamped on the breaker's clock."""

@@ -32,9 +32,14 @@ the episode ends (breaker closed, queue drained), which bumps
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 #: Ladder rungs from best to worst fidelity.
 RUNGS = ("exact", "neighbor", "analytic", "unavailable")
+
+#: Resolved answers kept in :attr:`DegradationLadder.history` (the
+#: newest ones), so a long-running service holds a bounded record.
+HISTORY_LEN = 1024
 
 
 def rung_index(name: str) -> int:
@@ -58,17 +63,17 @@ class DegradationLadder:
     ``resolve(requested)`` clamps a requested rung to the episode floor;
     ``escalate(rung)`` raises the floor (entering an episode when coming
     from exact); ``reset()`` ends the episode.  ``history`` records
-    ``(episode, served, floor)`` for every resolved answer — the
-    monotonicity property asserts the floor never decreases within one
-    episode and every served rung sits at or below it in fidelity.
+    ``(episode, served, floor)`` for the newest ``HISTORY_LEN`` resolved
+    answers — the monotonicity property asserts the floor never
+    decreases within one episode and every served rung sits at or below
+    it in fidelity.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._floor = 0
         self.episode = 0
-        self.escalations = 0
-        self.history: list[tuple[int, int, int]] = []
+        self.history: deque[tuple[int, int, int]] = deque(maxlen=HISTORY_LEN)
 
     @property
     def floor(self) -> int:
@@ -93,7 +98,6 @@ class DegradationLadder:
         with self._lock:
             if rung > self._floor:
                 self._floor = rung
-                self.escalations += 1
             return self._floor
 
     def reset(self) -> bool:

@@ -168,10 +168,12 @@ def workload():
 class TestSimulatedFaults:
     def test_dropout_slows_iteration(self, workload):
         server, schedule = workload
-        healthy = run_iteration(server, schedule).iteration_time
+        healthy = run_iteration(server, schedule)
         faults = FaultSchedule((SSDDropout(at=5.0, count=2),))
-        degraded = run_iteration(server, schedule, faults=faults).iteration_time
-        assert degraded > healthy
+        degraded = run_iteration(server, schedule, faults=faults)
+        assert degraded.iteration_time > healthy.iteration_time
+        assert healthy.remaining_ssds == server.n_ssds
+        assert degraded.remaining_ssds == server.n_ssds - 2
 
     def test_more_failures_cost_more(self, workload):
         server, schedule = workload

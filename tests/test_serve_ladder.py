@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve import RUNGS, DegradationLadder, rung_index, rung_name
+from repro.serve.ladder import HISTORY_LEN
 
 
 class TestRungNames:
@@ -53,6 +54,17 @@ class TestLadderBasics:
     def test_out_of_range_escalation_rejected(self):
         with pytest.raises(ValueError):
             DegradationLadder().escalate(len(RUNGS))
+
+    def test_history_keeps_only_the_newest_answers(self):
+        ladder = DegradationLadder()
+        for _ in range(HISTORY_LEN):
+            ladder.resolve(rung_index("exact"))
+        ladder.escalate(rung_index("analytic"))
+        for _ in range(HISTORY_LEN):
+            ladder.resolve(rung_index("exact"))
+        analytic = rung_index("analytic")
+        assert len(ladder.history) == HISTORY_LEN
+        assert set(ladder.history) == {(0, analytic, analytic)}
 
 
 OPS = st.lists(
