@@ -208,7 +208,7 @@ class _IterationRun:
         self.gpu: RateChannel = machine.gpus[gpu]
         self.m2g: RateChannel = machine.pcie_m2g[gpu]
         self.g2m: RateChannel = machine.pcie_g2m[gpu]
-        self.ssd = machine.ssd
+        self.ssd: RateChannel = machine.ssd
         self.cpu_adam = machine.cpu_adam
         self.stage_windows: dict[str, tuple[float, float]] = {}
         #: Optimizer seconds the decoupled modes hide under the adjacent
@@ -229,11 +229,11 @@ class _IterationRun:
 
     def _ssd_read(self, nbytes: float, label: str):
         """SSD read at this system's achieved I/O efficiency."""
-        return self.ssd.read(nbytes, label, self.schedule.ssd_efficiency)
+        return self.ssd.use(nbytes, label, self.schedule.ssd_efficiency)
 
     def _ssd_write(self, nbytes: float, label: str):
         """SSD write at this system's achieved I/O efficiency."""
-        return self.ssd.write(nbytes, label, self.schedule.ssd_efficiency)
+        return self.ssd.use(nbytes, label, self.schedule.ssd_efficiency, write=True)
 
     def _m2g(self, nbytes: float, label: str):
         """Host -> GPU PCIe transfer at this system's achieved efficiency."""

@@ -170,10 +170,5 @@ def _sag(machine, event: BandwidthSag):
 
 def _stall(machine, event: LatencyStall):
     yield machine.sim.timeout(event.at)
-    lock = machine.channel(event.resource).lock
-    grant = lock.request()
-    yield grant
-    start = machine.sim.now
-    yield machine.sim.timeout(event.duration)
+    start = yield from machine.channel(event.resource).hold(event.duration)
     machine.trace.record(event.resource, "fault_stall", start, machine.sim.now, 0.0)
-    lock.release()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modules import LayerNorm, Linear, MLP, Module, MultiHeadAttention
+from .modules import LayerNorm, Linear, MLP, Module, MultiHeadAttention, slice_rows
 from .tensor import Tensor
 
 
@@ -128,7 +128,7 @@ class DiTModel(Module):
 
     def forward(self, latent: np.ndarray, timesteps: np.ndarray, labels: np.ndarray) -> Tensor:
         patches = self.patchify_latent(np.asarray(latent, dtype=np.float32))
-        x = self.patchify(Tensor(patches)) + _rows(self.pos_emb, patches.shape[1])
+        x = self.patchify(Tensor(patches)) + slice_rows(self.pos_emb, patches.shape[1])
         c = self.conditioning(np.asarray(timesteps), np.asarray(labels))
         for block in self.blocks:
             x = block(x, c)
@@ -166,18 +166,3 @@ def _signal(signals: Tensor, index: int) -> Tensor:
 def _modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
     """adaLN modulation: x * (1 + scale) + shift."""
     return x * (scale + 1.0) + shift
-
-
-def _rows(table: Tensor, n: int) -> Tensor:
-    """Differentiable ``table[:n]``."""
-    out = Tensor(table.data[:n])
-
-    def backward() -> None:
-        if not table.requires_grad:
-            return
-        grad = np.zeros_like(table.data)
-        grad[:n] = out.grad
-        table._accumulate(grad)
-
-    out._make_node((table,), backward)
-    return out

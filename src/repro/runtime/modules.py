@@ -248,7 +248,7 @@ class GPTModel(Module):
 
     def forward(self, ids: np.ndarray) -> Tensor:
         seq = ids.shape[1]
-        x = self.token_emb(ids) + _slice_rows(self.pos_emb, seq)
+        x = self.token_emb(ids) + slice_rows(self.pos_emb, seq)
         for block in self.blocks:
             x = block(x)
         return self.head(self.ln_f(x))
@@ -297,7 +297,7 @@ def _swap_last(tensor: Tensor) -> Tensor:
     return tensor.transpose(*axes)
 
 
-def _slice_rows(tensor: Tensor, n: int) -> Tensor:
+def slice_rows(tensor: Tensor, n: int) -> Tensor:
     """Differentiable ``tensor[:n]`` (position-embedding lookup)."""
     out = Tensor(tensor.data[:n])
 

@@ -14,9 +14,10 @@ it.  The breaker is the classic three-state machine:
   cooldown).
 
 The clock is injectable, so the hypothesis property tests drive the
-state machine through simulated time.  Every transition is appended to
-``transitions`` and reported through ``on_transition`` — the service
-ledgers them, making breaker history auditable after the fact.
+state machine through simulated time.  Every transition is reported
+through ``on_transition`` — the service counts and ledgers them, making
+breaker history auditable after the fact — and the newest
+``HISTORY_LEN`` stay in ``transitions``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from typing import Callable
 
 #: Legal breaker states.
 STATES = ("closed", "open", "half_open")
+
+#: Transitions :attr:`CircuitBreaker.transitions` keeps, newest last.
+HISTORY_LEN = 1024
 
 
 @dataclass(frozen=True)
@@ -160,5 +164,7 @@ class CircuitBreaker:
             time=self.clock(), from_state=from_state, to_state=to_state, reason=reason
         )
         self.transitions.append(transition)
+        if len(self.transitions) > HISTORY_LEN:
+            del self.transitions[0]
         if self.on_transition is not None:
             self.on_transition(transition)

@@ -55,7 +55,7 @@ from repro.runner.sweep import compute_point
 from repro.util.backoff import BackoffPolicy, retry_call
 
 from .admission import AdmissionController
-from .breaker import BreakerTransition, CircuitBreaker
+from .breaker import STATES as BREAKER_STATES, BreakerTransition, CircuitBreaker
 from .journal import RequestJournal
 from .ladder import DegradationLadder, rung_index, rung_name
 
@@ -892,9 +892,12 @@ class PlannerService:
     def stats(self) -> dict[str, Any]:
         """A JSON-ready snapshot of the service's health and counters."""
         cache = self.cache.stats
+        transitions = self.metrics.counter("breaker_transitions_total")
         return {
             "breaker": self.breaker.state,
-            "breaker_transitions": len(self.breaker.transitions),
+            "breaker_transitions": int(
+                sum(transitions.value(to_state=state) for state in BREAKER_STATES)
+            ),
             "ladder_floor": rung_name(self.ladder.floor),
             "ladder_episode": self.ladder.episode,
             "inflight": self._current_inflight(),

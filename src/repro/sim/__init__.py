@@ -4,12 +4,14 @@ The paper's evaluation hardware (consumer GPU + NVMe array + commodity
 CPUs) is replaced by this simulator: iteration engines are coroutine
 processes contending for :class:`~repro.sim.resources.RateChannel`
 resources, and the recorded :class:`~repro.sim.trace.Trace` yields the
-stage breakdowns and PCIe-utilization numbers the paper reports.
+stage breakdowns and PCIe-utilization numbers the paper reports.  Every
+channel, the SSD array's shared read/write lane included, is one rate
+channel serializing its users on a one-permit
+:class:`~repro.sim.resources.Semaphore`.
 """
 
 from .engine import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -25,14 +27,12 @@ from .export import (
     trace_to_events,
     write_chrome_trace,
 )
-from .resources import ExclusiveResource, Machine, RateChannel, Semaphore
+from .resources import Machine, RateChannel, Semaphore
 from .trace import Trace, TraceInterval, merge_traces
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "ExclusiveResource",
     "Machine",
     "Process",
     "RateChannel",

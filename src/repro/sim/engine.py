@@ -118,23 +118,6 @@ class AllOf(Event):
             self.succeed([child.value for child in self._children])
 
 
-class AnyOf(Event):
-    """Triggers when the first child event triggers (value = that child's)."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: list[Event]) -> None:
-        super().__init__(sim)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        for event in events:
-            event.add_callback(self._child_done)
-
-    def _child_done(self, event: Event) -> None:
-        if not self.triggered:
-            self.succeed(event.value)
-
-
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -258,22 +241,11 @@ class Simulator:
         """Event triggering once all ``events`` have triggered."""
         return AllOf(self, events)
 
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Event triggering once any of ``events`` has triggered."""
-        return AnyOf(self, events)
-
-    def run(self, until: float | None = None) -> float:
-        """Process events until the heap is empty (or ``until`` is reached).
-
-        Returns the final simulation time.
-        """
+    def run(self) -> float:
+        """Process events until the heap is empty; returns the final time."""
         heap = self._heap
-        limit = _INF if until is None else until
         now = self.now
         while heap:
-            if heap[0][0] > limit:
-                self.now = until
-                return until
             time, _seq, callback, arg = heappop(heap)
             if time > now:
                 self.now = now = time

@@ -224,16 +224,16 @@ class TestMachineFaults:
     def test_fail_ssds_reduces_bandwidth(self):
         # Six drives: below the platform cap, so each loss costs bandwidth.
         machine = Machine(evaluation_server().with_ssds(6))
-        before = machine.ssd.read_bw
+        before = machine.ssd.rate
         machine.fail_ssds(3)
         assert machine.failed_ssds == 3
-        assert machine.ssd.read_bw < before
+        assert machine.ssd.rate < before
 
     def test_losing_every_drive_zeroes_the_array(self, server):
         machine = Machine(server)
         machine.fail_ssds(server.n_ssds)
-        assert machine.ssd.read_bw == 0.0
-        assert machine.ssd.write_bw == 0.0
+        assert machine.ssd.base_rate == 0.0
+        assert machine.ssd.base_write_rate == 0.0
 
     def test_channel_lookup(self, server):
         machine = Machine(server)

@@ -28,6 +28,8 @@ from repro.serve import (
     make_server,
     start_in_thread,
 )
+from repro.serve import breaker as breaker_module
+from repro.serve.breaker import HISTORY_LEN, CircuitBreaker
 from repro.serve.chaos import ChaosBackend
 from repro.serve.journal import RequestJournal
 from repro.serve.service import ServeError, analytic_estimate
@@ -259,6 +261,42 @@ class TestServicePipeline:
         assert (response.status, response.rung) == (200, "analytic")
         assert service.stats()["cache"]["computes"] == 0
         assert list((tmp_path / "cache").rglob("*.json")) == []
+        service.close()
+
+
+class TestBreakerHistory:
+    def test_keeps_only_the_newest_transitions(self, clock):
+        seen = []
+        breaker = CircuitBreaker(
+            failure_threshold=1, cooldown_s=1.0, clock=clock, on_transition=seen.append
+        )
+        while len(seen) < 2 * HISTORY_LEN:
+            breaker.record_failure("boom")  # closed or half_open -> open
+            clock.advance(1.0)
+            assert breaker.allow()  # open -> half_open: the probe
+        assert len(seen) == 2 * HISTORY_LEN
+        assert breaker.transitions == seen[-HISTORY_LEN:]
+
+    def test_stats_count_every_transition(self, tmp_path, clock, monkeypatch):
+        monkeypatch.setattr(breaker_module, "HISTORY_LEN", 2)
+        backend = {"mode": "crash"}
+
+        def flaky(query, cancel):
+            if backend["mode"] == "crash":
+                return crash_backend(query, cancel)
+            return ok_backend(query, cancel)
+
+        service = make_service(
+            tmp_path, clock, backend=flaky, breaker_threshold=1, breaker_cooldown_s=5.0
+        )
+        service.handle({"model": "6B", "batch_size": 4})
+        assert service.stats()["breaker_transitions"] == 1  # closed -> open
+        backend["mode"] = "ok"
+        clock.advance(5.0)
+        service.handle({"model": "6B", "batch_size": 4})
+        # open -> half_open -> closed: three in all, two kept
+        assert service.stats()["breaker_transitions"] == 3
+        assert [t.to_state for t in service.breaker.transitions] == ["half_open", "closed"]
         service.close()
 
 

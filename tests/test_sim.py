@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware import EVALUATION_SERVER, GB
-from repro.sim import (
-    ExclusiveResource,
-    Machine,
-    RateChannel,
-    SimulationError,
-    Simulator,
-    Trace,
-)
+from repro.sim import Machine, RateChannel, SimulationError, Simulator, Trace
 from repro.sim.resources import Semaphore
 
 
@@ -66,21 +59,6 @@ class TestKernel:
         assert sim.now == pytest.approx(3.0)
         assert proc.value == ["a", "b"]
 
-    def test_any_of_returns_first(self):
-        sim = Simulator()
-
-        def job(delay, value):
-            yield sim.timeout(delay)
-            return value
-
-        def race():
-            value = yield sim.any_of([sim.process(job(5, "slow")), sim.process(job(1, "fast"))])
-            return value
-
-        proc = sim.process(race())
-        sim.run(until=2.0)
-        assert proc.value == "fast"
-
     def test_event_double_trigger_rejected(self):
         sim = Simulator()
         event = sim.event()
@@ -128,13 +106,15 @@ class TestKernel:
 
 
 class TestExclusiveResource:
+    """A one-permit semaphore is a FIFO mutex: every channel's lane."""
+
     def test_fifo_ordering(self):
         sim = Simulator()
-        resource = ExclusiveResource(sim, "mutex")
+        resource = Semaphore(sim, 1)
         order = []
 
         def worker(name, hold):
-            grant = resource.request()
+            grant = resource.acquire()
             yield grant
             order.append(name)
             yield sim.timeout(hold)
@@ -148,7 +128,7 @@ class TestExclusiveResource:
 
     def test_release_when_idle_raises(self):
         sim = Simulator()
-        resource = ExclusiveResource(sim, "mutex")
+        resource = Semaphore(sim, 1)
         with pytest.raises(RuntimeError):
             resource.release()
 
@@ -179,28 +159,38 @@ class TestSemaphore:
             Semaphore(Simulator(), 0)
 
 
+def _served(channel: RateChannel, amount: float, **kwargs) -> float:
+    """Seconds one ``use`` of ``amount`` takes on an idle channel."""
+
+    def sender():
+        yield from channel.use(amount, **kwargs)
+
+    channel.sim.process(sender())
+    return channel.sim.run()
+
+
 class TestRateChannel:
     def test_service_time(self):
         sim = Simulator()
         channel = RateChannel(sim, "link", 10 * GB, Trace())
-        assert channel.service_time(20 * GB) == pytest.approx(2.0)
+        assert _served(channel, 20 * GB) == pytest.approx(2.0)
 
     def test_efficiency_slows_transfer(self):
         sim = Simulator()
         channel = RateChannel(sim, "link", 10 * GB, Trace())
-        assert channel.service_time(10 * GB, efficiency=0.5) == pytest.approx(2.0)
+        assert _served(channel, 10 * GB, efficiency=0.5) == pytest.approx(2.0)
 
     def test_efficiency_out_of_range_rejected(self):
         channel = RateChannel(Simulator(), "link", 1.0, Trace())
         with pytest.raises(ValueError):
-            channel.service_time(1.0, efficiency=0.0)
+            _served(channel, 1.0, efficiency=0.0)
         with pytest.raises(ValueError):
-            channel.service_time(1.0, efficiency=1.5)
+            _served(channel, 1.0, efficiency=1.5)
 
     def test_negative_amount_rejected(self):
         channel = RateChannel(Simulator(), "link", 1.0, Trace())
         with pytest.raises(ValueError):
-            channel.service_time(-1.0)
+            _served(channel, -1.0)
 
     def test_serializes_transfers(self):
         sim = Simulator()
@@ -214,8 +204,8 @@ class TestRateChannel:
         sim.process(sender(2 * GB))
         sim.run()
         assert sim.now == pytest.approx(3.0)
-        assert channel.total_amount == pytest.approx(3 * GB)
-        assert channel.busy_time == pytest.approx(3.0)
+        assert trace.moved("link") == pytest.approx(3 * GB)
+        assert trace.busy_time("link") == pytest.approx(3.0)
 
     @given(st.lists(st.floats(min_value=0, max_value=5 * GB), min_size=1, max_size=8))
     def test_total_time_is_sum_of_services(self, sizes):
@@ -237,23 +227,24 @@ class TestMachine:
         assert len(machine.gpus) == 1
         assert machine.gpus[0].rate == EVALUATION_SERVER.gpu.peak_fp16_flops
         assert machine.pcie_m2g[0].rate == pytest.approx(21 * GB)
-        assert machine.ssd.read_bw == pytest.approx(32 * GB)
+        assert machine.ssd.rate == pytest.approx(32 * GB)
 
     def test_ssd_simplex_serializes_read_and_write(self):
-        machine = Machine(EVALUATION_SERVER)
+        # Six drives: reads at the 32 GB/s platform cap, writes at 21 GB/s.
+        machine = Machine(EVALUATION_SERVER.with_ssds(6))
 
         def reader():
-            yield from machine.ssd.read(32 * GB)
+            yield from machine.ssd.use(32 * GB, "ssd_read")
 
         def writer():
-            yield from machine.ssd.write(32 * GB)
+            yield from machine.ssd.use(21 * GB, "ssd_write", write=True)
 
         machine.sim.process(reader())
         machine.sim.process(writer())
         machine.run()
         assert machine.now == pytest.approx(2.0)
-        assert machine.ssd.total_read == pytest.approx(32 * GB)
-        assert machine.ssd.total_written == pytest.approx(32 * GB)
+        assert machine.trace.moved("ssd", label_prefix="ssd_read") == pytest.approx(32 * GB)
+        assert machine.trace.moved("ssd", label_prefix="ssd_write") == pytest.approx(21 * GB)
 
     def test_duplex_pcie_directions_run_concurrently(self):
         machine = Machine(EVALUATION_SERVER)
@@ -277,7 +268,7 @@ class TestMachine:
         machine = Machine(EVALUATION_SERVER.with_ssds(0))
 
         def reader():
-            yield from machine.ssd.read(1.0)
+            yield from machine.ssd.use(1.0)
 
         machine.sim.process(reader())
         with pytest.raises(RuntimeError):

@@ -34,13 +34,15 @@ CASES = {
     "timeout-inf": (SimulationError, lambda: Simulator().timeout(INF)),
     "channel-rate-nan": (ValueError, lambda: RateChannel(Simulator(), "link", NAN, Trace())),
     "channel-rate-inf": (ValueError, lambda: RateChannel(Simulator(), "link", INF, Trace())),
-    "set-rate-nan": (ValueError, lambda: _channel().set_rate(NAN)),
+    "write-rate-nan": (
+        ValueError, lambda: RateChannel(Simulator(), "link", 1.0, Trace(), write_rate=NAN)
+    ),
     "derate-nan": (ValueError, lambda: _channel().derate(NAN)),
     "use-nan": (ValueError, lambda: next(_channel().use(NAN))),
     "use-inf": (ValueError, lambda: next(_channel().use(INF))),
-    "service-time-nan": (ValueError, lambda: _channel().service_time(NAN)),
-    "ssd-read-nan": (ValueError, lambda: _ssd().read(NAN)),
-    "ssd-write-inf": (ValueError, lambda: _ssd().write(INF)),
+    "use-efficiency-nan": (ValueError, lambda: next(_channel().use(1.0, efficiency=NAN))),
+    "ssd-read-nan": (ValueError, lambda: next(_ssd().use(NAN))),
+    "ssd-write-inf": (ValueError, lambda: next(_ssd().use(INF, write=True))),
     "ssd-derate-nan": (ValueError, lambda: _ssd().derate(NAN)),
     "record-start-nan": (ValueError, lambda: Trace().record("r", "l", NAN, 0.0, 0.0)),
     "record-end-nan": (ValueError, lambda: Trace().record("r", "l", 0.0, NAN, 0.0)),
@@ -64,7 +66,7 @@ class TestNonFiniteInputs:
         assert "\n" not in str(info.value)
 
     def test_rejected_transfer_leaves_totals_untouched(self):
-        ssd = _ssd()
+        machine = Machine(evaluation_server())
         with pytest.raises(ValueError):
-            ssd.read(NAN)
-        assert ssd.total_read == 0.0
+            next(machine.ssd.use(NAN))
+        assert machine.trace.moved("ssd") == 0.0
