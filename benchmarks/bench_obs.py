@@ -2,23 +2,27 @@
 
 Two instrumented surfaces, each held to the same bar — instrumentation
 that is off must be indistinguishable from instrumentation that does not
-exist:
+exist.  Each disabled cost is a count times a price, because timing a
+disabled arm against a baseline arm compares two runs of identical code,
+whose spread on a small host is wider than the bar:
 
-* **span sites** on a small ``RatelRuntime.train_step`` loop —
-  disabled is one module-global read returning ``None`` plus a shared
-  no-op context manager (< 2% vs a baseline timed the same way);
-  enabled (``obs.observe()``) is recorded for information only, since
+* **span sites** on a small ``RatelRuntime.train_step`` loop — the
+  ``maybe_span``/``recorder()`` calls one step makes, counted, times
+  the cost of one disabled site of each kind (a module-global read
+  returning ``None``, plus a shared no-op context manager for
+  ``maybe_span``), over the step time (< 2%); enabled
+  (``obs.observe()``) is timed end to end for information only, since
   recording genuinely does work proportional to span count.
 * the **sim event-loop dispatch hook** (:mod:`repro.obs.profile`) on a
-  cold policy simulation — disabled is one module-global ``None``
-  check per dispatched event (< 2%); a full ``profile()`` scope
+  cold policy simulation — events per simulate times the cost of one
+  module-global ``None`` check (< 2%); a full ``profile()`` scope
   (cProfile + per-event counters) is recorded for information.
 
-Timings take the **best of several interleaved repeats** — the minimum
-of a deterministic NumPy loop is a low-variance estimator, and
-interleaving off/on rounds keeps thermal/frequency drift from biasing
-one side.  Results land in ``benchmarks/results/BENCH_obs.json``.  Runs
-under the ``bench_smoke`` marker.
+Timings take the **best of several repeats** — the minimum of a
+deterministic loop is a low-variance estimator, and interleaving off/on
+rounds keeps thermal/frequency drift from biasing one side.  Results
+land in ``benchmarks/results/BENCH_obs.json``.  Runs under the
+``bench_smoke`` marker.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import pytest
 from repro import obs
 from repro.experiments.fig5_throughput import sweep_points
 from repro.models.profile import profile_model
+from repro.obs import spans
 from repro.obs.profile import profile
 from repro.runtime import (
     CrossEntropyLoss,
@@ -52,6 +57,8 @@ MAX_DISABLED_OVERHEAD_PCT = 2.0
 
 STEPS = 3
 REPEATS = 5
+#: Iterations of each timed loop that prices one disabled site.
+LOOPS = 200_000
 
 
 def _overhead_pct(off: float, on: float) -> float:
@@ -87,42 +94,93 @@ def test_disabled_instrumentation_is_free():
 
         timed_steps()  # warm allocators and caches
 
+        # Every runtime site calls through the module, so wrapping the two
+        # entry points counts each site a step passes.
+        sites = {"maybe_span": 0, "recorder": 0}
+        maybe_span, recorder = spans.maybe_span, spans.recorder
+
+        def counting_maybe_span(*args):
+            sites["maybe_span"] += 1
+            return maybe_span(*args)
+
+        def counting_recorder():
+            sites["recorder"] += 1
+            return recorder()
+
+        spans.maybe_span, spans.recorder = counting_maybe_span, counting_recorder
+        try:
+            timed_steps()
+        finally:
+            spans.maybe_span, spans.recorder = maybe_span, recorder
+        span_sites = sites["maybe_span"] / STEPS
+        recorder_calls = sites["recorder"] / STEPS
+
         baseline: list[float] = []
-        disabled: list[float] = []
         enabled: list[float] = []
         for _ in range(REPEATS):
-            # "baseline" and "disabled" run the identical code path (the
-            # recorder is None in both); timing them separately turns the
-            # assertion into a same-vs-same comparison whose spread IS
-            # the measurement noise floor, with the <2% bar above it.
             baseline.append(timed_steps())
-            disabled.append(timed_steps())
             with obs.observe():
                 enabled.append(timed_steps())
 
-    off, on = min(baseline), min(disabled)
-    recording = min(enabled)
-    disabled_pct = _overhead_pct(off, on)
-    enabled_pct = _overhead_pct(off, recording)
+    # One disabled site of each kind, as the runtime writes them, against
+    # the same loop without the site.
+    name, nbytes = "block0.attn.qkv.weight.states", 4096
+
+    def timed_span_sites() -> float:
+        started = time.perf_counter()
+        for _ in range(LOOPS):
+            with spans.maybe_span(spans.RT_SSD, f"spill:{name}", nbytes):
+                pass
+        return time.perf_counter() - started
+
+    def timed_recorder_sites() -> float:
+        started = time.perf_counter()
+        for _ in range(LOOPS):
+            if spans.recorder() is None:
+                pass
+        return time.perf_counter() - started
+
+    def timed_plain() -> float:
+        started = time.perf_counter()
+        for _ in range(LOOPS):
+            pass
+        return time.perf_counter() - started
+
+    timed_span_sites(), timed_recorder_sites(), timed_plain()  # warm
+    plain = min(timed_plain() for _ in range(REPEATS))
+    span_site_s = max(0.0, min(timed_span_sites() for _ in range(REPEATS)) - plain) / LOOPS
+    recorder_s = max(0.0, min(timed_recorder_sites() for _ in range(REPEATS)) - plain) / LOOPS
+
+    step_s = min(baseline) / STEPS
+    disabled_pct = (span_sites * span_site_s + recorder_calls * recorder_s) / step_s * 100
+    enabled_pct = _overhead_pct(min(baseline), min(enabled))
+
+    assert span_sites > 0 and recorder_calls > 0, "the span sites were not counted"
 
     payload = {
         "steps": STEPS,
         "repeats": REPEATS,
-        "baseline_s": off,
-        "disabled_s": on,
-        "enabled_s": recording,
+        "baseline_s": min(baseline),
+        "enabled_s": min(enabled),
+        "span_sites_per_step": span_sites,
+        "recorder_calls_per_step": recorder_calls,
+        "span_site_ns": span_site_s * 1e9,
+        "recorder_call_ns": recorder_s * 1e9,
         "disabled_overhead_pct": disabled_pct,
         "enabled_overhead_pct": enabled_pct,
         "max_disabled_overhead_pct": MAX_DISABLED_OVERHEAD_PCT,
     }
     write_bench_json("obs", payload)
     print(
-        f"\nobs overhead: disabled {disabled_pct:+.2f}% "
-        f"(bar {MAX_DISABLED_OVERHEAD_PCT:.0f}%), enabled {enabled_pct:+.1f}%"
+        f"\nobs overhead: disabled {disabled_pct:+.3f}% "
+        f"({span_sites:g} span sites x {span_site_s * 1e9:.0f} ns + "
+        f"{recorder_calls:g} recorder calls x {recorder_s * 1e9:.0f} ns "
+        f"/ {step_s * 1e3:.2f} ms; bar {MAX_DISABLED_OVERHEAD_PCT:.0f}%), "
+        f"enabled {enabled_pct:+.1f}% end to end"
     )
 
     assert disabled_pct < MAX_DISABLED_OVERHEAD_PCT, (
-        f"disabled instrumentation costs {disabled_pct:.2f}% "
+        f"disabled instrumentation costs {disabled_pct:.3f}% "
         f"(bar {MAX_DISABLED_OVERHEAD_PCT}%)"
     )
 

@@ -18,16 +18,23 @@ iteration's own processes under the same deterministic event loop:
   lane, so it also delays every queued request.  The stall is recorded
   in the trace under the label ``fault_stall``.
 
-The schedule itself never imports the simulator — it drives the machine
-through its public surface (``sim``, ``channel``, ``fail_ssds``) — so
-the dependency points strictly from ``repro.faults`` at ``repro.sim``'s
-interface, never the other way around.
+An event names its channel as the machine does: a bare ``gpu``,
+``pcie_m2g`` or ``pcie_g2m`` is resolved to device 0 (``gpu0``...) when
+the event is built, so the recorded lane, the duplicate check and the
+overlap check all see the channel the fault holds.
+
+The schedule imports only that naming rule from the simulator and drives
+the machine through its public surface (``sim``, ``channel``,
+``fail_ssds``), so the dependency points strictly from ``repro.faults``
+at ``repro.sim``'s interface, never the other way around.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from repro.sim.resources import channel_name
 
 
 class FaultScheduleError(ValueError):
@@ -69,6 +76,7 @@ class BandwidthSag:
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration("sag", self.duration)
+        object.__setattr__(self, "resource", channel_name(self.resource))
         if not 0 < self.factor < 1:
             raise FaultScheduleError(
                 f"sag factor must be in (0, 1), got {self.factor} "
@@ -87,6 +95,7 @@ class LatencyStall:
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration("stall", self.duration)
+        object.__setattr__(self, "resource", channel_name(self.resource))
 
 
 FaultEvent = SSDDropout | BandwidthSag | LatencyStall

@@ -42,7 +42,6 @@ class RatelContext:
     checkpoint_tier: str
     states_tier: str
     active_offload: bool
-    delayed_update: bool
     optimizer_mode: str = "sync"
     stale_k: int = 0
     critical_frac: float = 0.0
@@ -66,7 +65,6 @@ def ratel_init(
     checkpoint_tier: str = st.NVME,
     states_tier: str = st.NVME,
     active_offload: bool = True,
-    delayed_update: bool = False,
     spill_dir: str | None = None,
     optimizer_mode: str = "sync",
     stale_k: int = 0,
@@ -85,17 +83,11 @@ def ratel_init(
         nvme_capacity=nvme_capacity,
         spill_dir=spill_dir,
     )
-    if delayed_update and active_offload:
-        raise RatelAPIError(
-            "delayed_update (ZeRO-Offload's one-step delay) excludes "
-            "active_offload; pass active_offload=False"
-        )
     context = RatelContext(
         manager=manager,
         checkpoint_tier=checkpoint_tier,
         states_tier=states_tier,
         active_offload=active_offload,
-        delayed_update=delayed_update,
         optimizer_mode=optimizer_mode,
         stale_k=stale_k,
         critical_frac=critical_frac,
@@ -120,7 +112,7 @@ def current_context() -> RatelContext:
     return stack[-1]
 
 
-def ratel_hook(model: Module, blocks: list[Module] | None = None) -> RatelRuntime:
+def ratel_hook(model: Module) -> RatelRuntime:
     """Inject Ratel's data-movement hooks into ``model`` (Fig. 4).
 
     Wraps the model's transformer blocks with checkpoint-and-offload
@@ -128,7 +120,7 @@ def ratel_hook(model: Module, blocks: list[Module] | None = None) -> RatelRuntim
     are installed by :class:`RatelOptimizer` (they need the optimizer);
     call this first, then build the optimizer.
     """
-    return RatelRuntime.from_context(model, current_context(), blocks=blocks)
+    return RatelRuntime.from_context(model, current_context())
 
 
 class RatelOptimizer:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modules import LayerNorm, Linear, MLP, Module, MultiHeadAttention, slice_rows
+from .modules import LayerNorm, Linear, MLP, Module, MultiHeadAttention
 from .tensor import Tensor
 
 
@@ -55,12 +55,10 @@ class AdaLNBlock(Module):
     def forward(self, x: Tensor, conditioning: Tensor) -> Tensor:
         batch = x.shape[0]
         signals = self.modulation(conditioning).reshape(batch, 6, self.dim)
-        shift_a = _signal(signals, 0)
-        scale_a = _signal(signals, 1)
-        gate_a = _signal(signals, 2)
-        shift_m = _signal(signals, 3)
-        scale_m = _signal(signals, 4)
-        gate_m = _signal(signals, 5)
+        # (b, 1, d) slices, broadcastable over tokens.
+        shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = (
+            signals[:, i : i + 1, :] for i in range(6)
+        )
         attn_in = _modulate(self.ln1(x), shift_a, scale_a)
         x = x + gate_a * self.attn(attn_in)
         mlp_in = _modulate(self.ln2(x), shift_m, scale_m)
@@ -128,7 +126,7 @@ class DiTModel(Module):
 
     def forward(self, latent: np.ndarray, timesteps: np.ndarray, labels: np.ndarray) -> Tensor:
         patches = self.patchify_latent(np.asarray(latent, dtype=np.float32))
-        x = self.patchify(Tensor(patches)) + slice_rows(self.pos_emb, patches.shape[1])
+        x = self.patchify(Tensor(patches)) + self.pos_emb[: patches.shape[1]]
         c = self.conditioning(np.asarray(timesteps), np.asarray(labels))
         for block in self.blocks:
             x = block(x, c)
@@ -145,22 +143,6 @@ def denoising_loss(model: DiTModel, latent: np.ndarray, noise: np.ndarray,
     target = Tensor(model.patchify_latent(np.asarray(noise, dtype=np.float32)))
     diff = predicted - target
     return (diff * diff).mean()
-
-
-def _signal(signals: Tensor, index: int) -> Tensor:
-    """(b, 6, d) -> (b, 1, d) slice, differentiable, broadcastable over tokens."""
-    batch, _six, dim = signals.shape
-    out = Tensor(signals.data[:, index : index + 1, :])
-
-    def backward() -> None:
-        if not signals.requires_grad:
-            return
-        grad = np.zeros_like(signals.data)
-        grad[:, index : index + 1, :] = out.grad
-        signals._accumulate(grad)
-
-    out._make_node((signals,), backward)
-    return out
 
 
 def _modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:

@@ -1,15 +1,16 @@
 """Neural-network modules for the functional runtime.
 
-A PyTorch-flavoured module system (parameters, named submodules, forward
-hooks) with the layers a GPT/DiT training loop needs.  The hook points
-are what :func:`repro.runtime.api.ratel_hook` instruments — mirroring
-how the paper's implementation injects its data-movement management into
-an unmodified PyTorch model (Fig. 4).
+A PyTorch-flavoured module system (parameters, named submodules) with
+the layers a GPT/DiT training loop needs.  A model exposes its
+transformer blocks as ``.blocks``: :func:`repro.runtime.api.ratel_hook`
+wraps each block's ``forward`` and hooks each parameter tensor —
+mirroring how the paper's implementation injects its data-movement
+management into an unmodified PyTorch model (Fig. 4).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -17,13 +18,11 @@ from .tensor import Tensor
 
 
 class Module:
-    """Base class: parameter registry, submodules, forward hooks."""
+    """Base class: parameter registry and submodules."""
 
     def __init__(self) -> None:
         self._parameters: dict[str, Tensor] = {}
         self._modules: dict[str, "Module"] = {}
-        self._pre_hooks: list[Callable[["Module", tuple], None]] = []
-        self._post_hooks: list[Callable[["Module", tuple, Tensor], None]] = []
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
@@ -54,27 +53,8 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_parameters(f"{prefix}{name}.")
 
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        """(qualified name, module) pairs including self."""
-        yield prefix.rstrip("."), self
-        for name, module in self._modules.items():
-            yield from module.named_modules(f"{prefix}{name}.")
-
-    def register_forward_pre_hook(self, hook) -> None:
-        """``hook(module, inputs)`` before forward."""
-        self._pre_hooks.append(hook)
-
-    def register_forward_hook(self, hook) -> None:
-        """``hook(module, inputs, output)`` after forward."""
-        self._post_hooks.append(hook)
-
     def __call__(self, *inputs):
-        for hook in self._pre_hooks:
-            hook(self, inputs)
-        output = self.forward(*inputs)
-        for hook in self._post_hooks:
-            hook(self, inputs, output)
-        return output
+        return self.forward(*inputs)
 
     def forward(self, *inputs):
         """Compute the module's output; subclasses override."""
@@ -88,26 +68,6 @@ class Module:
     def n_params(self) -> int:
         """Total trainable element count."""
         return sum(param.size for param in self.parameters())
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copies of all parameter arrays, keyed by qualified name."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Install parameter values from :meth:`state_dict` output.
-
-        Names and shapes must match exactly (missing/extra/mismatched
-        entries raise ``ValueError``).
-        """
-        params = dict(self.named_parameters())
-        if set(state) != set(params):
-            missing = sorted(set(params) - set(state))
-            extra = sorted(set(state) - set(params))
-            raise ValueError(f"state dict mismatch: missing {missing}, extra {extra}")
-        for name, value in state.items():
-            if value.shape != params[name].data.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            params[name].data = np.array(value, dtype=np.float32, copy=True)
 
 
 class Linear(Module):
@@ -175,12 +135,8 @@ class MultiHeadAttention(Module):
         qkv = self.qkv(x)  # (b, s, 3d)
         qkv = qkv.reshape(batch, seq, 3, self.n_heads, self.head_dim)
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, b, h, s, hd)
-        q = qkv.reshape(3, batch * self.n_heads, seq, self.head_dim)
-        # Slice q/k/v via matmul-free indexing: reshape keeps autograd; we
-        # split by separate gathers below.
-        q_part = _take_first_axis(q, 0)
-        k_part = _take_first_axis(q, 1)
-        v_part = _take_first_axis(q, 2)
+        qkv = qkv.reshape(3, batch * self.n_heads, seq, self.head_dim)
+        q_part, k_part, v_part = qkv[0], qkv[1], qkv[2]
         scores = (q_part @ _swap_last(k_part)) * (1.0 / np.sqrt(self.head_dim))
         if self.causal:
             mask = np.triu(np.full((seq, seq), -1e9, dtype=np.float32), k=1)
@@ -248,7 +204,7 @@ class GPTModel(Module):
 
     def forward(self, ids: np.ndarray) -> Tensor:
         seq = ids.shape[1]
-        x = self.token_emb(ids) + slice_rows(self.pos_emb, seq)
+        x = self.token_emb(ids) + self.pos_emb[:seq]
         for block in self.blocks:
             x = block(x)
         return self.head(self.ln_f(x))
@@ -275,38 +231,8 @@ class CrossEntropyLoss(Module):
         return -(picked.log().mean())
 
 
-def _take_first_axis(tensor: Tensor, index: int) -> Tensor:
-    """Differentiable ``tensor[index]`` along axis 0."""
-    out = Tensor(tensor.data[index])
-
-    def backward() -> None:
-        if not tensor.requires_grad:
-            return
-        grad = np.zeros_like(tensor.data)
-        grad[index] = out.grad
-        tensor._accumulate(grad)
-
-    out._make_node((tensor,), backward)
-    return out
-
-
 def _swap_last(tensor: Tensor) -> Tensor:
     """Differentiable transpose of the last two axes."""
     axes = list(range(tensor.data.ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]
     return tensor.transpose(*axes)
-
-
-def slice_rows(tensor: Tensor, n: int) -> Tensor:
-    """Differentiable ``tensor[:n]`` (position-embedding lookup)."""
-    out = Tensor(tensor.data[:n])
-
-    def backward() -> None:
-        if not tensor.requires_grad:
-            return
-        grad = np.zeros_like(tensor.data)
-        grad[:n] = out.grad
-        tensor._accumulate(grad)
-
-    out._make_node((tensor,), backward)
-    return out

@@ -31,7 +31,9 @@ The ``optimizer_mode`` axis relaxes the synchronous barrier (the
   ``stale_k`` steps late, except the importance-prioritized
   ``critical_frac`` top slice which applies in its own step.  ``stale_k=0``
   is bit-identical to ``sync`` (every gradient applies in its producing
-  step, and no later read happens before the epilogue).
+  step, and no later read happens before the epilogue).  ``stale_k=1``
+  is ZeRO-Offload's one-step delayed update, the staleness the paper
+  rules out (§IV-C footnote).
 * ``overlap`` — GreedySnake-style step-overlap: each gradient waits
   host-side and applies *just before the next read* of its parameter —
   per-block at that block's next forward entry, the rest at the next
@@ -72,29 +74,17 @@ class RatelRuntime:
         manager: st.StorageManager,
         optimizer: CPUAdam | None,
         *,
-        blocks: list[Module] | None = None,
         checkpoint_tier: str = st.NVME,
         active_offload: bool = True,
-        delayed_update: bool = False,
         optimizer_mode: str = "sync",
         stale_k: int = 0,
         critical_frac: float = 0.0,
     ) -> None:
         if checkpoint_tier not in (st.HOST, st.NVME):
             raise ValueError("checkpoint_tier must be 'host' or 'nvme'")
-        if delayed_update and active_offload:
-            raise ValueError(
-                "delayed_update models ZeRO-Offload's one-step delay; it is "
-                "mutually exclusive with active gradient offloading"
-            )
         if optimizer_mode not in OPTIMIZER_MODES:
             raise ValueError(
                 f"optimizer_mode must be one of {OPTIMIZER_MODES}, got {optimizer_mode!r}"
-            )
-        if delayed_update and optimizer_mode != "sync":
-            raise ValueError(
-                "delayed_update is its own (unbounded-staleness) mode; it "
-                "excludes optimizer_mode='async'/'overlap'"
             )
         if optimizer_mode != "async" and critical_frac:
             raise ValueError("critical_frac only applies to optimizer_mode='async'")
@@ -118,12 +108,6 @@ class RatelRuntime:
         )
         #: overlap mode: name -> queued PendingGradient, insertion-ordered.
         self._overlap_pending: dict[str, object] = {}
-        #: ZeRO-Offload's "one-step delayed update": step i's optimizer
-        #: overlaps step i+1's forward/backward, so step i+1 computes on
-        #: parameters one update behind — the *staleness* the paper rules
-        #: out (§IV-C footnote).  Kept as an executable counter-example.
-        self.delayed_update = delayed_update
-        self._pending_grads: list[tuple[str, "np.ndarray"]] = []
         self._suppress_handlers = False
         self.step = 0
         #: ``time.perf_counter()`` when the current (or last) step began;
@@ -138,8 +122,8 @@ class RatelRuntime:
         #: checkpointing and other end-of-step policies.
         self._step_hooks: list[Callable[["RatelRuntime"], None]] = []
 
-        target_blocks = blocks if blocks is not None else getattr(model, "blocks", [])
-        for index, block in enumerate(target_blocks):
+        blocks = getattr(model, "blocks", [])
+        for index, block in enumerate(blocks):
             self._wrap_block(block, index)
         # Overlap mode applies each block's pending updates at that
         # block's next forward entry; map block index -> full parameter
@@ -148,7 +132,7 @@ class RatelRuntime:
         by_id = {id(param): name for name, param in self._param_map.items()}
         self._block_param_names: dict[int, tuple[str, ...]] = {}
         in_blocks: set[str] = set()
-        for index, block in enumerate(target_blocks):
+        for index, block in enumerate(blocks):
             names = tuple(
                 by_id[id(param)]
                 for _local, param in block.named_parameters()
@@ -169,9 +153,7 @@ class RatelRuntime:
             self._install_gradient_handlers()
 
     @classmethod
-    def from_context(
-        cls, model: Module, context, *, blocks: list[Module] | None = None
-    ) -> "RatelRuntime":
+    def from_context(cls, model: Module, context) -> "RatelRuntime":
         """Build a runtime from a :class:`~repro.runtime.api.RatelContext`.
 
         This is the constructor behind the Fig.-4 ``ratel_hook`` call:
@@ -185,10 +167,8 @@ class RatelRuntime:
             model,
             context.manager,
             None,
-            blocks=blocks,
             checkpoint_tier=context.checkpoint_tier,
             active_offload=context.active_offload,
-            delayed_update=context.delayed_update,
             optimizer_mode=context.optimizer_mode,
             stale_k=context.stale_k,
             critical_frac=context.critical_frac,
@@ -252,9 +232,7 @@ class RatelRuntime:
 
     def _finish_step(self) -> None:
         """The post-backward epilogue shared by every step variant."""
-        if self.delayed_update:
-            self._apply_delayed_update()
-        elif not self.active_offload:
+        if not self.active_offload:
             # Deferred mode (the Ratel+ZeRO ablation): one optimizer pass
             # after backward, in the same last-to-first order gradients
             # arrived.  In async/overlap mode _consume_gradient stashes
@@ -328,25 +306,6 @@ class RatelRuntime:
             norm = clip_gradients(list(self.model.named_parameters()), max_grad_norm)
             self._finish_step()
         return float(loss.data), norm
-
-    def _apply_delayed_update(self) -> None:
-        """One-step-delayed optimizer: apply *last* step's gradients.
-
-        The gradients just produced are queued; the parameter values the
-        next forward/backward read are therefore one update behind — the
-        staleness Ratel's synchronous design avoids.
-        """
-        params = dict(self.model.named_parameters())
-        for name, grad16 in self._pending_grads:
-            fresh = self.optimizer.step_param(name, grad16)
-            params[name].data = fresh.copy()
-            self.update_order.append(name)
-        self._pending_grads = []
-        for name, param in reversed(list(self.model.named_parameters())):
-            if param.grad is not None:
-                grad16 = param.grad.astype(np.float16).astype(np.float32)
-                self._pending_grads.append((name, grad16))
-                param.zero_grad()
 
     # -- block checkpointing --------------------------------------------------------
 

@@ -286,16 +286,20 @@ def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
 class CPUAdam:
     """Out-of-core mixed-precision Adam over a storage hierarchy.
 
-    For each parameter ``name`` the optimizer owns three stored tensors:
+    For each parameter ``name`` the optimizer owns two stored records:
 
-    * ``{name}.p32``  — fp32 master weights (4 bytes/param),
-    * ``{name}.m32`` / ``{name}.v32`` — fp32 Adam moments (8 bytes/param),
-    * ``{name}.p16``  — the fp16 compute copy the model reads.
+    * ``{name}.states`` — the fp32 master weights and both Adam moments
+      (P32 + OS32, 12 bytes/param) as one ``(3, *shape)`` array, so they
+      move, spill and checksum as one unit, as Ratel's out-of-core Adam
+      moves them (§IV-C);
+    * ``{name}.p16`` — the fp16 compute copy the model reads.
 
-    ``states_tier`` is where P32/OS32 rest between steps (``nvme`` for
+    ``states_tier`` is where both rest between steps (``nvme`` for
     Ratel/ZeRO-Infinity, ``host`` for ZeRO-Offload); each ``step_param``
     moves them to the host, updates, and moves them back — every byte of
     which the :class:`~repro.runtime.storage.StorageManager` counts.
+    This class alone names the records: checkpoints go through
+    :meth:`read_states` and :meth:`install_states`.
     """
 
     def __init__(
@@ -321,13 +325,14 @@ class CPUAdam:
         self.step_counts: dict[str, int] = {}
         self.params = dict(params)
         for name, param in params:
-            manager.put(f"{name}.p32", param.data.copy(), st.HOST, itemsize=4)
-            manager.put(f"{name}.m32", np.zeros_like(param.data), st.HOST, itemsize=4)
-            manager.put(f"{name}.v32", np.zeros_like(param.data), st.HOST, itemsize=4)
+            moments = np.zeros_like(param.data)
+            states = np.stack([param.data, moments, moments])
             p16 = param.data.astype(np.float16).astype(np.float32)
-            manager.put(f"{name}.p16", p16, st.HOST, itemsize=2)
-            for suffix in ("p32", "m32", "v32", "p16"):
-                manager.move(manager.get(f"{name}.{suffix}"), states_tier)
+            for stored in (
+                manager.put(f"{name}.states", states, st.HOST, itemsize=4),
+                manager.put(f"{name}.p16", p16, st.HOST, itemsize=2),
+            ):
+                manager.move(stored, states_tier)
             self.step_counts[name] = 0
             # The model computes on the fp16 copy from step zero,
             # exactly like mixed-precision PyTorch training.
@@ -350,18 +355,14 @@ class CPUAdam:
             return self._step_param(name, step, grad_fp16)
 
     def _step_param(self, name: str, step: int, grad_fp16: np.ndarray) -> np.ndarray:
-        p32 = self.manager.get(f"{name}.p32")
-        m32 = self.manager.get(f"{name}.m32")
-        v32 = self.manager.get(f"{name}.v32")
+        states = self.manager.get(f"{name}.states")
         p16 = self.manager.get(f"{name}.p16")
         # SSD -> main: bring the states to the CPU.
-        for stored in (p32, m32, v32):
-            self.manager.move(stored, st.HOST)
+        self.manager.move(states, st.HOST)
 
         grad = grad_fp16.astype(np.float32)
-        m = m32.data()
-        v = v32.data()
-        weights = p32.data()
+        # Views of the record's rows: the in-place updates below write it.
+        weights, m, v = states.data()
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2
@@ -376,14 +377,34 @@ class CPUAdam:
         self.manager.move(p16, st.HOST)
         p16.array = fresh_p16.copy()
         # Main -> SSD: updated states and the new fp16 copy go back.
-        for stored in (p32, m32, v32, p16):
+        for stored in (states, p16):
             self.manager.move(stored, self.states_tier)
         return fresh_p16
 
-    def master_weights(self, name: str) -> np.ndarray:
-        """Read a parameter's fp32 master copy (for verification)."""
-        stored = self.manager.get(f"{name}.p32")
+    def read_states(self, name: str) -> np.ndarray:
+        """Copies of a parameter's P32, M32 and V32, stacked on axis 0."""
+        stored = self.manager.get(f"{name}.states")
         self.manager.move(stored, st.HOST)
         value = stored.data().copy()
         self.manager.move(stored, self.states_tier)
         return value
+
+    def master_weights(self, name: str) -> np.ndarray:
+        """Read a parameter's fp32 master copy (for verification)."""
+        return self.read_states(name)[0]
+
+    def install_states(
+        self, name: str, p32: np.ndarray, m32: np.ndarray, v32: np.ndarray
+    ) -> np.ndarray:
+        """Overwrite a parameter's states (a checkpoint restore).
+
+        The fp16 copy is rederived from ``p32`` and stored too; it is
+        returned for the caller to install into the model.
+        """
+        fresh_p16 = p32.astype(np.float16).astype(np.float32)
+        for suffix, value in (("states", np.stack([p32, m32, v32])), ("p16", fresh_p16)):
+            stored = self.manager.get(f"{name}.{suffix}")
+            self.manager.move(stored, st.HOST)
+            stored.array = np.ascontiguousarray(value, dtype=np.float32)
+            self.manager.move(stored, self.states_tier)
+        return fresh_p16

@@ -27,7 +27,6 @@ import zipfile
 
 import numpy as np
 
-from . import storage as st
 from .modules import Module
 from .optim import CPUAdam
 
@@ -91,9 +90,10 @@ def save_checkpoint(path: str, optimizer: CPUAdam, step: int = 0) -> str:
         "__step__": np.array([step]),
     }
     for name in optimizer.params:
-        payload[f"{name}::p32"] = optimizer.master_weights(name)
-        payload[f"{name}::m32"] = _read_state(optimizer, name, "m32")
-        payload[f"{name}::v32"] = _read_state(optimizer, name, "v32")
+        p32, m32, v32 = optimizer.read_states(name)
+        payload[f"{name}::p32"] = p32
+        payload[f"{name}::m32"] = m32
+        payload[f"{name}::v32"] = v32
         payload[f"{name}::count"] = np.array([optimizer.step_counts[name]])
     final = checkpoint_path(path)
     tmp = final + ".tmp"
@@ -164,22 +164,20 @@ def load_checkpoint(path: str, model: Module, optimizer: CPUAdam) -> int:
                 raise CheckpointError(
                     f"checkpoint {path!r} is missing {name}::{suffix}"
                 )
-        p32 = staged[f"{name}::p32"]
-        if p32.shape != param.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for parameter {name!r}: checkpoint has "
-                f"{p32.shape}, model expects {param.data.shape} — the "
-                "checkpoint belongs to a different model configuration"
-            )
+        for suffix in ("p32", "m32", "v32"):
+            shape = staged[f"{name}::{suffix}"].shape
+            if shape != param.data.shape:
+                raise CheckpointError(
+                    f"shape mismatch for parameter {name!r}: checkpoint has "
+                    f"{shape}, model expects {param.data.shape} — the "
+                    "checkpoint belongs to a different model configuration"
+                )
 
     # Everything validated; install state (no failure paths past here).
     for name, param in params.items():
-        p32 = staged[f"{name}::p32"]
-        _write_state(optimizer, name, "p32", p32)
-        _write_state(optimizer, name, "m32", staged[f"{name}::m32"])
-        _write_state(optimizer, name, "v32", staged[f"{name}::v32"])
-        fresh_p16 = p32.astype(np.float16).astype(np.float32)
-        _write_state(optimizer, name, "p16", fresh_p16)
+        fresh_p16 = optimizer.install_states(
+            name, staged[f"{name}::p32"], staged[f"{name}::m32"], staged[f"{name}::v32"]
+        )
         param.data = fresh_p16.copy()
         optimizer.step_counts[name] = int(staged[f"{name}::count"][0])
     return int(staged["__step__"][0])
@@ -252,18 +250,3 @@ class PeriodicCheckpointer:
                 os.unlink(stale)
             except OSError:
                 pass  # a racing cleanup is fine; never fail the step hook
-
-
-def _read_state(optimizer: CPUAdam, name: str, suffix: str) -> np.ndarray:
-    stored = optimizer.manager.get(f"{name}.{suffix}")
-    optimizer.manager.move(stored, st.HOST)
-    value = stored.data().copy()
-    optimizer.manager.move(stored, optimizer.states_tier)
-    return value
-
-
-def _write_state(optimizer: CPUAdam, name: str, suffix: str, value: np.ndarray) -> None:
-    stored = optimizer.manager.get(f"{name}.{suffix}")
-    optimizer.manager.move(stored, st.HOST)
-    stored.array = np.ascontiguousarray(value, dtype=np.float32)
-    optimizer.manager.move(stored, optimizer.states_tier)

@@ -36,7 +36,7 @@ a torn write is rewritten by the retry or its slot freed, never read;
 every load verifies the CRC32 (bit flips and short reads surface as
 :class:`SpillCorruptionError` instead of silently corrupted parameters);
 and transient ``OSError`` on either side is retried with exponential
-backoff before :class:`SpillError` is raised.  A
+backoff (``MAX_RETRIES`` times) before :class:`SpillError` is raised.  A
 :class:`repro.faults.FaultInjector` can be attached to exercise all of
 these paths deterministically.
 """
@@ -61,6 +61,11 @@ HOST = "host"
 NVME = "nvme"
 TIERS = (GPU, HOST, NVME)
 
+#: Retries of a spill read or write that failed with ``OSError``; the
+#: first waits ``BACKOFF_S`` seconds and each further one twice as long.
+MAX_RETRIES = 3
+BACKOFF_S = 0.005
+
 #: Links the manager tracks, as (source, destination) tier pairs.
 LINKS = (
     (GPU, HOST),
@@ -79,7 +84,7 @@ class StorageError(RuntimeError):
 
 
 class SpillError(StorageError):
-    """Spill I/O failed even after the configured retries."""
+    """Spill I/O failed even after ``MAX_RETRIES`` retries."""
 
 
 class SpillCorruptionError(SpillError):
@@ -220,21 +225,15 @@ class StorageManager:
         spill_dir: str | None = None,
         *,
         faults=None,
-        max_retries: int = 3,
-        backoff_s: float = 0.005,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries cannot be negative, got {max_retries}")
         # Jitter-free so injected fault scenarios replay bit-identically.
         self._backoff = BackoffPolicy(
-            base_s=backoff_s, factor=2.0, max_attempts=max_retries + 1, jitter="none"
+            base_s=BACKOFF_S, factor=2.0, max_attempts=MAX_RETRIES + 1, jitter="none"
         )
         #: Optional :class:`repro.faults.FaultInjector` (duck-typed) whose
         #: ``on_read`` / ``on_write`` / ``maybe_corrupt`` hooks wrap spill I/O.
         self.faults = faults
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
         self._sleep = sleep
         self.tiers = {
             GPU: Tier(GPU, gpu_capacity),
@@ -380,7 +379,7 @@ class StorageManager:
             arena.release(offset, size)
             raise SpillError(
                 f"spilling tensor {tensor.name!r} to {arena.path!r} failed after "
-                f"{self.max_retries + 1} attempt(s): {exc}"
+                f"{MAX_RETRIES + 1} attempt(s): {exc}"
             ) from exc
         if self.faults is not None:
             self.faults.maybe_corrupt(arena.path, offset + payload.nbytes)
@@ -418,7 +417,7 @@ class StorageManager:
         except OSError as exc:
             raise SpillError(
                 f"loading tensor {tensor.name!r} from {arena.path!r} failed after "
-                f"{self.max_retries + 1} attempt(s): {exc}"
+                f"{MAX_RETRIES + 1} attempt(s): {exc}"
             ) from exc
         if read != out.nbytes:
             raise SpillCorruptionError(

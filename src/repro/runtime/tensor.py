@@ -3,8 +3,8 @@
 This is the tensor substrate the functional Ratel runtime trains on —
 the stand-in for PyTorch's autograd in the paper's implementation.  It
 supports exactly what a GPT/DiT training loop needs: matmul,
-broadcasting arithmetic, reshapes/transposes, softmax, layer-norm
-statistics, GELU, embedding gather and reductions.
+broadcasting arithmetic, reshapes/transposes, basic indexing, softmax,
+layer-norm statistics, GELU, embedding gather and reductions.
 
 Design notes:
 
@@ -276,6 +276,19 @@ class Tensor:
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad.transpose(inverse))
+
+        out._make_node((self,), backward)
+        return out
+
+    def __getitem__(self, index) -> "Tensor":
+        """Basic indexing (integers and slices) preserving gradient flow."""
+        out = Tensor(self.data[index])
+
+        def backward() -> None:
+            if self.requires_grad:
+                grad = np.zeros_like(self.data)
+                grad[index] = out.grad
+                self._accumulate(grad)
 
         out._make_node((self,), backward)
         return out

@@ -27,6 +27,15 @@ from .trace import Trace
 _INF = float("inf")
 
 
+def channel_name(name: str) -> str:
+    """The trace name of the channel ``name`` means.
+
+    A bare ``gpu``, ``pcie_m2g`` or ``pcie_g2m`` means device 0; every
+    other name is already the channel's own.
+    """
+    return f"{name}0" if name in ("gpu", "pcie_m2g", "pcie_g2m") else name
+
+
 class Semaphore:
     """FIFO permits over the simulator.
 
@@ -253,6 +262,7 @@ class Machine:
 
         ``gpu``/``pcie_m2g``/``pcie_g2m`` without an index mean device 0.
         """
+        name = channel_name(name)
         if name == "ssd":
             return self.ssd
         if name == "cpu_adam":
@@ -263,7 +273,7 @@ class Machine:
             ("gpu", self.gpus),
         ):
             if name.startswith(prefix):
-                suffix = name[len(prefix) :] or "0"
+                suffix = name[len(prefix) :]
                 try:
                     return group[int(suffix)]
                 except (ValueError, IndexError):

@@ -137,6 +137,38 @@ class TestScheduleComposition:
         )
 
 
+class TestBareChannelNames:
+    """A bare ``gpu``, ``pcie_m2g`` or ``pcie_g2m`` names device 0's channel
+    everywhere a fault event is seen, as it does in ``Machine.channel``."""
+
+    def test_stall_records_on_the_lane_it_holds(self):
+        server = evaluation_server()
+        schedule = RatelPolicy().compile(profile_model(llm("13B"), 32), server)
+        healthy = run_iteration(server, schedule).trace.busy_time("gpu0")
+        stall = LatencyStall(at=1.0, duration=2.0, resource="gpu")
+        trace = run_iteration(server, schedule, faults=FaultSchedule((stall,))).trace
+        assert trace.busy_time("gpu0") == pytest.approx(healthy + 2.0)
+        assert "gpu" not in {interval.resource for interval in trace.intervals}
+
+    def test_overlapping_sags_under_both_names_rejected(self):
+        with pytest.raises(FaultScheduleError, match="overlapping"):
+            FaultSchedule(
+                (
+                    BandwidthSag(at=0.0, duration=10.0, factor=0.5, resource="gpu"),
+                    BandwidthSag(at=5.0, duration=10.0, factor=0.5, resource="gpu0"),
+                )
+            )
+
+    def test_same_stall_under_both_names_is_a_duplicate(self):
+        with pytest.raises(FaultScheduleError, match="duplicate"):
+            FaultSchedule(
+                (
+                    LatencyStall(at=1.0, duration=2.0, resource="pcie_m2g"),
+                    LatencyStall(at=1.0, duration=2.0, resource="pcie_m2g0"),
+                )
+            )
+
+
 class TestFlakyThenSlowPolicy:
     """The retry/timeout chaos probe: raise once, then dawdle forever."""
 
@@ -298,7 +330,6 @@ def manager(tmp_path, injector):
         100 * MB,
         spill_dir=str(tmp_path),
         faults=injector,
-        backoff_s=0.0,
         sleep=lambda s: None,
     )
     yield mgr
@@ -315,7 +346,7 @@ class TestStorageFaults:
 
     def test_load_survives_transient_read_errors(self, manager, injector, rng):
         stored = manager.put("x", rng.normal(size=(1000,)), NVME)
-        injector.fail_next_reads(3)  # max_retries=3 -> 4 attempts
+        injector.fail_next_reads(3)  # MAX_RETRIES=3 -> 4 attempts
         manager.move(stored, HOST)
         assert injector.injected_read_errors == 3
         np.testing.assert_array_equal(stored.data(), stored.data())

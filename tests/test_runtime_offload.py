@@ -94,7 +94,9 @@ class TestDelayedUpdateStaleness:
     """The counter-example: ZeRO-Offload's one-step delayed update.
 
     The paper rejects it because it introduces parameter staleness
-    (§IV-C footnote); here the divergence is directly observable.
+    (§IV-C footnote); here the divergence is directly observable.  The
+    delay is bounded staleness with K=1: ``optimizer_mode="async",
+    stale_k=1``.
     """
 
     @staticmethod
@@ -104,8 +106,8 @@ class TestDelayedUpdateStaleness:
             gpu_capacity=1 * GB,
             host_capacity=1 * GB,
             nvme_capacity=4 * GB,
-            active_offload=False,
-            delayed_update=True,
+            optimizer_mode="async",
+            stale_k=1,
         ):
             model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(5))
             runtime = ratel_hook(model)
@@ -129,17 +131,6 @@ class TestDelayedUpdateStaleness:
             for name in sync_params
         )
         assert divergence > 1e-4
-
-    def test_delayed_with_active_rejected(self):
-        with pytest.raises(Exception):
-            with ratel_init(
-                gpu_capacity=GB,
-                host_capacity=GB,
-                nvme_capacity=GB,
-                active_offload=True,
-                delayed_update=True,
-            ):
-                pass
 
 
 class TestRecomputeFidelity:
@@ -206,6 +197,31 @@ class TestTrafficAccounting:
         # never rests on NVMe.
         assert traffic[("host", "nvme")] == pytest.approx(14 * n + expected_down)
         assert traffic[("nvme", "host")] == pytest.approx(expected_up)
+
+    def test_one_step_moves_each_record_once_each_way(self, monkeypatch):
+        """Per step: the state record and P16 go to the host and back (four
+        moves per parameter), each G16 crosses to the host once, and each
+        block boundary spills and returns (two moves per block)."""
+        loss_fn = CrossEntropyLoss()
+        with ratel_init(
+            gpu_capacity=1 * GB, host_capacity=1 * GB, nvme_capacity=4 * GB
+        ) as context:
+            model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(5))
+            runtime = ratel_hook(model)
+            RatelOptimizer(model, runtime, lr=1e-2)
+            moves = 0
+            move = context.manager.move
+
+            def counting_move(tensor, dest):
+                nonlocal moves
+                moves += 1
+                move(tensor, dest)
+
+            monkeypatch.setattr(context.manager, "move", counting_move)
+            ids, targets = make_batches(1)[0]
+            runtime.train_step(lambda: loss_fn(model(ids), targets))
+        n_params = len(list(model.named_parameters()))
+        assert moves == 4 * n_params + n_params + 2 * LAYERS
 
 
 class TestRuntimeConstruction:

@@ -78,6 +78,19 @@ class TestGradChecks:
             rng,
         )
 
+    @pytest.mark.parametrize(
+        "shape, index",
+        [
+            ((3, 2, 4, 5), 1),  # x[i]: the attention q/k/v split
+            ((6, 4), slice(None, 4)),  # x[:n]: position-embedding rows
+            ((2, 6, 4), (slice(None), slice(2, 3), slice(None))),  # x[:, i:i+1, :]: adaLN
+        ],
+    )
+    def test_basic_indexing(self, rng, shape, index):
+        picked = np.empty(shape)[index].shape
+        w = Tensor(rng.normal(size=picked).astype(np.float32))
+        check_grad(lambda t: (t[index] * w).sum(), shape, rng)
+
     def test_mean_and_sum_axes(self, rng):
         check_grad(lambda t: (t.mean(axis=1, keepdims=True) * t).sum(), (3, 4), rng)
 
