@@ -83,8 +83,9 @@ class G10Policy(SplitPolicy):
         to_main = min(profile.activation_bytes_total, hw.mem_avail_main)
         return to_main, profile.activation_bytes_total - to_main, 0.0
 
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        to_main, to_ssd, _ = self.activation_split(profile, server)
+    def needs_for_split(
+        self, profile: ModelProfile, to_main: float, to_ssd: float
+    ) -> ResourceNeeds:
         return ResourceNeeds(
             gpu_bytes=gpu_working_set(profile),
             main_bytes=POOL_BASE_BYTES + to_main,

@@ -30,7 +30,6 @@ from dataclasses import replace
 from repro.core.memory_model import ResourceNeeds
 from repro.core.ratel import RatelPolicy
 from repro.core.schedule import OptimizerMode
-from repro.hardware.spec import ServerSpec
 from repro.models.profile import ModelProfile
 
 #: ZenFlow defaults: gradients may wait at most this many steps, and the
@@ -58,8 +57,10 @@ class ZenFlowPolicy(RatelPolicy):
         self.critical_frac = critical_frac
         self.name = f"ZenFlow(K={stale_k})"
 
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        needs = super().memory_needs(profile, server)
+    def needs_for_split(
+        self, profile: ModelProfile, to_main: float, to_ssd: float
+    ) -> ResourceNeeds:
+        needs = super().needs_for_split(profile, to_main, to_ssd)
         if self.stale_k == 0:
             return needs
         # Deferred fp16 gradients accumulate host-side until applied.
@@ -75,8 +76,10 @@ class GreedySnakePolicy(RatelPolicy):
         super().__init__("optimized")
         self.name = "GreedySnake"
 
-    def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
-        needs = super().memory_needs(profile, server)
+    def needs_for_split(
+        self, profile: ModelProfile, to_main: float, to_ssd: float
+    ) -> ResourceNeeds:
+        needs = super().needs_for_split(profile, to_main, to_ssd)
         # One step's fp16 gradients wait host-side for the next forward.
         return replace(needs, main_bytes=needs.main_bytes + 2.0 * profile.n_params)
 

@@ -61,10 +61,33 @@ class OffloadPolicy(abc.ABC):
     def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:
         """Build the iteration schedule the engine will execute."""
 
+    def needs_bounds(
+        self, profile: ModelProfile, server: ServerSpec
+    ) -> tuple[ResourceNeeds, ResourceNeeds] | None:
+        """``(lower, upper)`` needs that bound :meth:`memory_needs`, tier by tier.
+
+        A policy whose needs come out of a plan may return needs that
+        every plan's needs lie between, so that :meth:`feasible` can
+        skip the plan when the bounds already decide.  ``None`` (the
+        default) means no bounds: every probe plans.
+        """
+        return None
+
     def feasible(self, profile: ModelProfile, server: ServerSpec) -> bool:
-        """True when the workload fits this server under this policy."""
+        """True when the workload fits this server under this policy.
+
+        A fitting upper bound or a failing lower bound
+        (:meth:`needs_bounds`) answers without building the plan.
+        """
         if not self.supported_on(server):
             return False
+        bounds = self.needs_bounds(profile, server)
+        if bounds is not None:
+            lower, upper = bounds
+            if upper.fits(server):
+                return True
+            if not lower.fits(server):
+                return False
         return self.memory_needs(profile, server).fits(server)
 
     def simulate(
@@ -181,9 +204,10 @@ class SplitPolicy(OffloadPolicy):
     Subclasses implement :meth:`activation_split` and override the
     class-level schedule constants below (class attributes or
     properties, so they stay out of the runner's content keys).
-    :meth:`memory_needs` is Ratel's engine accounting
-    (:func:`ratel_needs`); systems that keep model states elsewhere, or
-    stage extra host buffers, override it.
+    :meth:`memory_needs` prices the split through :meth:`needs_for_split`,
+    which is Ratel's engine accounting (:func:`ratel_needs`) unless a
+    system stages extra host buffers; systems whose needs do not follow
+    from the split (model states elsewhere) override ``memory_needs``.
     """
 
     states_location: StatesLocation = StatesLocation.SSD
@@ -204,6 +228,16 @@ class SplitPolicy(OffloadPolicy):
 
     def memory_needs(self, profile: ModelProfile, server: ServerSpec) -> ResourceNeeds:
         to_main, to_ssd, _ = self.activation_split(profile, server)
+        return self.needs_for_split(profile, to_main, to_ssd)
+
+    def needs_for_split(
+        self, profile: ModelProfile, to_main: float, to_ssd: float
+    ) -> ResourceNeeds:
+        """This system's needs for an explicit activation split.
+
+        Every override must be monotone non-decreasing in both parts:
+        :meth:`RatelPolicy.needs_bounds` prices the extreme splits here.
+        """
         return ratel_needs(profile, to_main, to_ssd)
 
     def compile(self, profile: ModelProfile, server: ServerSpec) -> IterationSchedule:

@@ -173,15 +173,14 @@ class _WindowedRatel(RatelPolicy):
         self.window_blocks = window_blocks
         self.name = f"Ratel(w={window_blocks})"
 
-    def memory_needs(self, profile, server):
-        plan = self.plan(profile, server)
+    def needs_for_split(self, profile, to_main, to_ssd):
         overhead = active_offload_main_overhead(
             profile, window_blocks=self.window_blocks
         )
         return ResourceNeeds(
             gpu_bytes=gpu_working_set(profile),
-            main_bytes=overhead + plan.a_to_main,
-            ssd_bytes=profile.states.total + plan.a_to_ssd,
+            main_bytes=overhead + to_main,
+            ssd_bytes=profile.states.total + to_ssd,
         )
 
 
