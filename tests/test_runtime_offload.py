@@ -8,10 +8,13 @@ counters match the analytic traffic formulas.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.runtime import (
+    AutogradError,
     CPUAdam,
     CrossEntropyLoss,
     GPTModel,
@@ -20,6 +23,7 @@ from repro.runtime import (
     RatelOptimizer,
     RatelRuntime,
     StorageManager,
+    Tensor,
     ratel_hook,
     ratel_init,
 )
@@ -170,6 +174,97 @@ class TestRecomputeFidelity:
         host_losses, _p1, _t1, _o1 = train(active_offload=True, checkpoint_tier=HOST)
         nvme_losses, _p2, _t2, _o2 = train(active_offload=True, checkpoint_tier=NVME)
         assert host_losses[0] == pytest.approx(nvme_losses[0], rel=1e-3)
+
+
+def _backward_keeping_graph(self, grad=None):
+    """``Tensor.backward`` as it was before it freed graphs: the oracle.
+
+    The same closures run in the same order and fire the same hooks;
+    every node keeps its parents and its closure afterwards.
+    """
+    if not self.requires_grad:
+        raise AutogradError("backward() on a tensor that does not require grad")
+    topo, visited, stack = [], set(), [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    if grad is None:
+        grad = np.ones_like(self.data)
+    self._accumulate(np.asarray(grad, dtype=np.float32))
+    pending: dict[int, int] = {}
+    for node in topo:
+        for parent in node._parents:
+            pending[id(parent)] = pending.get(id(parent), 0) + 1
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward()
+        for parent in node._parents:
+            pending[id(parent)] -= 1
+            if pending[id(parent)] == 0:
+                for hook in parent._hooks:
+                    hook(parent)
+    for hook in self._hooks:
+        hook(self)
+
+
+def _train_recomputing(accumulate: bool):
+    """Three NVMe-checkpointed steps, whole-batch or as two micro-batches."""
+    loss_fn = CrossEntropyLoss()
+    with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB):
+        model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(5))
+        runtime = ratel_hook(model)
+        RatelOptimizer(model, runtime, lr=1e-2)
+        losses = []
+        for ids, targets in make_batches(3):
+            if accumulate:
+                halves = [(ids[:2], targets[:2]), (ids[2:], targets[2:])]
+                loss = runtime.train_step_accumulate(
+                    [lambda a=a, b=b: loss_fn(model(a), b) for a, b in halves]
+                )
+            else:
+                loss = runtime.train_step(lambda: loss_fn(model(ids), targets))
+            losses.append(float(loss).hex())
+        return losses, {name: p.data.copy() for name, p in model.named_parameters()}
+
+
+class TestFreedGraphs:
+    """``backward`` frees each graph it ran; training must not notice."""
+
+    def test_step_leaves_nothing_for_the_collector(self):
+        loss_fn = CrossEntropyLoss()
+        ((ids, targets),) = make_batches(1)
+        with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB):
+            model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(5))
+            runtime = ratel_hook(model)
+            RatelOptimizer(model, runtime, lr=1e-2)
+            runtime.train_step(lambda: loss_fn(model(ids), targets))
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                runtime.train_step(lambda: loss_fn(model(ids), targets))
+                assert gc.collect() == 0
+            finally:
+                if enabled:
+                    gc.enable()
+
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["recompute", "accumulate"])
+    def test_training_is_bit_identical_to_a_kept_graph(self, monkeypatch, accumulate):
+        freed_losses, freed_params = _train_recomputing(accumulate)
+        monkeypatch.setattr(Tensor, "backward", _backward_keeping_graph)
+        kept_losses, kept_params = _train_recomputing(accumulate)
+        assert freed_losses == kept_losses
+        for name, data in kept_params.items():
+            np.testing.assert_array_equal(freed_params[name], data, err_msg=name)
 
 
 class TestTrafficAccounting:

@@ -159,6 +159,32 @@ class TestGraphMechanics:
         x.zero_grad()
         assert x.grad is None
 
+    def test_backward_frees_interior_nodes_and_keeps_leaves(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = x * 2
+        loss = y.sum()
+        loss.backward()
+        assert y._parents == () and loss._parents == ()
+        assert x._backward is None
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = x * 2
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(AutogradError, match="freed"):
+            loss.backward()
+        # A new graph on top of a freed node reaches it too.
+        with pytest.raises(AutogradError, match="freed"):
+            (y * 3).sum().backward()
+
+    def test_leaves_accumulate_across_freed_graphs(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        (x * 2).sum().backward()
+        (x * 3).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 5.0))
+
     def test_hooks_fire_once_per_backward(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         fired = []
