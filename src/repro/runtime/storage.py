@@ -18,8 +18,8 @@ float32 the math runs in.  Spilled fp16 tensors are also *restored* at
 fp16 width, so resident memory matches the accounted bytes.
 
 Every spill of one manager goes to one arena file.  A spill takes a slot
-of the payload's power-of-two size class from that class's free list
-(or from the end of the file), ``os.pwrite``s the raw payload at its
+of the payload's size class (four per power of two) from that class's
+free list (or from the end of the file), ``os.pwrite``s the raw payload at its
 storage dtype, and keeps the slot's offset, the tensor's shape and a
 CRC32 of the payload in memory; a load ``os.preadv``s the slot into a
 fresh array and returns the slot to its free list.  No per-spill file
@@ -156,7 +156,7 @@ class StoredTensor:
 
 
 class _Arena:
-    """One spill file carved into power-of-two slots with free lists.
+    """One spill file carved into size-class slots with free lists.
 
     The file is created by the first :meth:`write` and deleted as soon
     as no slot is reserved, so it exists only while a tensor is spilled.
@@ -170,8 +170,15 @@ class _Arena:
         self._reserved = 0
 
     def reserve(self, nbytes: int) -> tuple[int, int]:
-        """``(offset, size)`` of a free slot that holds ``nbytes``."""
-        size = 1 << (max(nbytes, 1) - 1).bit_length()
+        """``(offset, size)`` of a free slot that holds ``nbytes``.
+
+        For ``2**(b - 1) < nbytes <= 2**b`` the slot is ``nbytes`` rounded
+        up to a multiple of ``2**(b - 3)``: four size classes per power of
+        two, so a slot of 8 bytes or more wastes under a quarter of it.
+        """
+        nbytes = max(nbytes, 1)
+        step = 1 << max((nbytes - 1).bit_length() - 3, 0)
+        size = -(-nbytes // step) * step
         free = self._free.get(size)
         if free:
             offset = free.pop()

@@ -23,6 +23,7 @@ from repro.runtime import (
     ratel_hook,
     ratel_init,
 )
+from repro.runtime.storage import _Arena
 
 MB = 10**6
 GB = 10**9
@@ -251,6 +252,23 @@ class TestArena:
             peak = context.manager.tiers[NVME].peak_bytes
         assert sizes == [sizes[0]] * 10
         assert peak <= sizes[0] < 2 * peak
+
+    @given(st.integers(1, 1 << 40))
+    @settings(max_examples=200, deadline=None)
+    def test_slots_waste_under_a_quarter_and_are_reused(self, nbytes):
+        arena = _Arena("never-written.bin")  # reserve/release touch no file
+        arena.reserve(1)  # keeps the arena open across the release below
+        offset, size = arena.reserve(nbytes)
+        assert size >= nbytes
+        if nbytes >= 8:
+            assert 4 * (size - nbytes) < nbytes
+        arena.release(offset, size)
+        assert arena.reserve(nbytes) == (offset, size)
+
+    def test_four_size_classes_per_power_of_two(self):
+        arena = _Arena("never-written.bin")
+        sizes = {arena.reserve(n)[1] for n in range(1025, 2049)}
+        assert sizes == {1280, 1536, 1792, 2048}
 
     def test_close_empties_caller_owned_spill_dir(self, tmp_path, rng):
         manager = StorageManager(MB, MB, MB, spill_dir=str(tmp_path))
