@@ -227,19 +227,19 @@ class _IterationRun:
 
     # -- efficiency-aware transfer helpers ------------------------------------
 
-    def _ssd_read(self, nbytes: float, label: str):
+    def _ssd_read(self, nbytes: float, label: str) -> Event:
         """SSD read at this system's achieved I/O efficiency."""
         return self.ssd.use(nbytes, label, self.schedule.ssd_efficiency)
 
-    def _ssd_write(self, nbytes: float, label: str):
+    def _ssd_write(self, nbytes: float, label: str) -> Event:
         """SSD write at this system's achieved I/O efficiency."""
         return self.ssd.use(nbytes, label, self.schedule.ssd_efficiency, write=True)
 
-    def _m2g(self, nbytes: float, label: str):
+    def _m2g(self, nbytes: float, label: str) -> Event:
         """Host -> GPU PCIe transfer at this system's achieved efficiency."""
         return self.m2g.use(nbytes, label, self.schedule.pcie_efficiency)
 
-    def _g2m(self, nbytes: float, label: str):
+    def _g2m(self, nbytes: float, label: str) -> Event:
         """GPU -> host PCIe transfer at this system's achieved efficiency."""
         return self.g2m.use(nbytes, label, self.schedule.pcie_efficiency)
 
@@ -308,7 +308,7 @@ class _IterationRun:
         def compute():
             for block in self.schedule.blocks:
                 yield ready[block.index]
-                yield from self.gpu.use(block.fwd_flops, f"fwd_b{block.index}", self._gpu_eff)
+                yield self.gpu.use(block.fwd_flops, f"fwd_b{block.index}", self._gpu_eff)
                 if self.schedule.sync_overhead_per_block > 0:
                     yield self.sim.timeout(self.schedule.sync_overhead_per_block)
                 window.release()
@@ -327,9 +327,9 @@ class _IterationRun:
 
     def _offload_acts(self, block: BlockTask):
         """Drain one block's swapped activations: GPU -> main -> (SSD)."""
-        yield from self._g2m(block.act_swapped, f"act_out_b{block.index}")
+        yield self._g2m(block.act_swapped, f"act_out_b{block.index}")
         if block.act_to_ssd > 0:
-            yield from self._ssd_write(block.act_to_ssd, f"act_spill_b{block.index}")
+            yield self._ssd_write(block.act_to_ssd, f"act_spill_b{block.index}")
 
     def _fetch_params(self, block: BlockTask, label: str):
         """Bring one block's fp16 parameters to the GPU."""
@@ -338,8 +338,8 @@ class _IterationRun:
         if self.schedule.states_location is StatesLocation.GPU:
             return
         if self.schedule.states_location is StatesLocation.SSD and self.state_reads_from_ssd:
-            yield from self._ssd_read(block.p16_bytes, f"{label}_ssd_b{block.index}")
-        yield from self._m2g(block.p16_bytes, f"{label}_b{block.index}")
+            yield self._ssd_read(block.p16_bytes, f"{label}_ssd_b{block.index}")
+        yield self._m2g(block.p16_bytes, f"{label}_b{block.index}")
 
     # -- backward ----------------------------------------------------------------
 
@@ -349,10 +349,10 @@ class _IterationRun:
         for block in reversed(self.schedule.blocks):
             yield window.acquire()
             if block.act_to_ssd > 0:
-                yield from self._ssd_read(block.act_to_ssd, f"act_back_ssd_b{block.index}")
+                yield self._ssd_read(block.act_to_ssd, f"act_back_ssd_b{block.index}")
             yield from self._fetch_params(block, "bwd_p16")
             if block.act_swapped > 0:
-                yield from self._m2g(block.act_swapped, f"act_back_b{block.index}")
+                yield self._m2g(block.act_swapped, f"act_back_b{block.index}")
             self._bwd_ready[block.index].succeed()
 
     def _backward_compute(self):
@@ -371,7 +371,7 @@ class _IterationRun:
                 # slice updates synchronously on the GPU, right after the
                 # block's backward produced its gradient.
                 flops += GPU_ADAM_FLOPS_PER_PARAM * critical * block.opt_params
-            yield from self.gpu.use(flops, f"bwd_b{block.index}", self._gpu_eff)
+            yield self.gpu.use(flops, f"bwd_b{block.index}", self._gpu_eff)
             if self.schedule.sync_overhead_per_block > 0:
                 yield self.sim.timeout(self.schedule.sync_overhead_per_block)
             self._bwd_window.release()
@@ -384,7 +384,7 @@ class _IterationRun:
 
     def _offload_grad(self, block: BlockTask):
         """Move one block's G16 to main memory; signals the optimizer."""
-        yield from self._g2m(block.grad_bytes, f"grad_b{block.index}")
+        yield self._g2m(block.grad_bytes, f"grad_b{block.index}")
         self.grad_arrived[block.index].succeed()
 
     # -- optimizer -----------------------------------------------------------------
@@ -432,7 +432,7 @@ class _IterationRun:
                     continue
                 yield window.acquire()
                 if on_ssd:
-                    yield from self._ssd_read(
+                    yield self._ssd_read(
                         scale * block.state_read_bytes, f"opt_read_b{block.index}"
                     )
                 self.states_ready[block.index].succeed()
@@ -446,7 +446,7 @@ class _IterationRun:
                 if wait_grads:
                     waits.append(self.grad_arrived[block.index])
                 yield self.sim.all_of(waits)
-                yield from self.cpu_adam.use(
+                yield self.cpu_adam.use(
                     scale * block.opt_params, f"adam_b{block.index}"
                 )
                 window.release()
@@ -458,7 +458,7 @@ class _IterationRun:
                     continue
                 yield self.updated[block.index]
                 if on_ssd:
-                    yield from self._ssd_write(
+                    yield self._ssd_write(
                         scale * block.state_write_bytes, f"opt_write_b{block.index}"
                     )
 
@@ -477,10 +477,10 @@ class _IterationRun:
             if wait_grads:
                 yield self.grad_arrived[block.index]
             if on_ssd:
-                yield from self._ssd_read(block.state_read_bytes, f"opt_read_b{block.index}")
-            yield from self.cpu_adam.use(block.opt_params, f"adam_b{block.index}")
+                yield self._ssd_read(block.state_read_bytes, f"opt_read_b{block.index}")
+            yield self.cpu_adam.use(block.opt_params, f"adam_b{block.index}")
             if on_ssd:
-                yield from self._ssd_write(block.state_write_bytes, f"opt_write_b{block.index}")
+                yield self._ssd_write(block.state_write_bytes, f"opt_write_b{block.index}")
 
     def _optimizer_gpu(self):
         """G10/FlashNeuron: Adam on the GPU, states streamed when offloaded.
@@ -497,17 +497,17 @@ class _IterationRun:
         def per_block(block: BlockTask):
             if not resident:
                 if on_ssd:
-                    yield from self._ssd_read(block.state_read_bytes, f"opt_read_b{block.index}")
-                yield from self._m2g(block.state_read_bytes, f"opt_in_b{block.index}")
-            yield from self.gpu.use(
+                    yield self._ssd_read(block.state_read_bytes, f"opt_read_b{block.index}")
+                yield self._m2g(block.state_read_bytes, f"opt_in_b{block.index}")
+            yield self.gpu.use(
                 GPU_ADAM_FLOPS_PER_PARAM * max(block.opt_params, self._resident_params(block)),
                 f"opt_gpu_b{block.index}",
                 self._gpu_eff,
             )
             if not resident:
-                yield from self._g2m(block.state_write_bytes, f"opt_out_b{block.index}")
+                yield self._g2m(block.state_write_bytes, f"opt_out_b{block.index}")
                 if on_ssd:
-                    yield from self._ssd_write(block.state_write_bytes, f"opt_write_b{block.index}")
+                    yield self._ssd_write(block.state_write_bytes, f"opt_write_b{block.index}")
 
         for block in reversed(self.schedule.blocks):
             if block.opt_params <= 0 and not resident:

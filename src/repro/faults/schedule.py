@@ -179,5 +179,5 @@ def _sag(machine, event: BandwidthSag):
 
 def _stall(machine, event: LatencyStall):
     yield machine.sim.timeout(event.at)
-    start = yield from machine.channel(event.resource).hold(event.duration)
+    start = yield machine.channel(event.resource).hold(event.duration)
     machine.trace.record(event.resource, "fault_stall", start, machine.sim.now, 0.0)

@@ -6,8 +6,8 @@ processes contending for :class:`~repro.sim.resources.RateChannel`
 resources, and the recorded :class:`~repro.sim.trace.Trace` yields the
 stage breakdowns and PCIe-utilization numbers the paper reports.  Every
 channel, the SSD array's shared read/write lane included, is one rate
-channel serializing its users on a one-permit
-:class:`~repro.sim.resources.Semaphore`.
+channel serializing its users on its own FIFO queue;
+:class:`~repro.sim.resources.Semaphore` bounds prefetch windows.
 """
 
 from .engine import (

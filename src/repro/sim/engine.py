@@ -2,21 +2,29 @@
 
 The training-iteration engines (:mod:`repro.core.engine` and the baseline
 policies) are written as coroutine *processes* that ``yield`` events:
-timeouts, resource grants, or other processes.  The kernel is a classic
+timeouts, channel transfers, or other processes.  The kernel is a classic
 event-heap design, similar in spirit to SimPy but only a few hundred
 lines, dependency-free and deterministic.
 
 Determinism: ties in the event heap break on a monotonically increasing
 sequence number, so two runs of the same workload produce identical
-timelines.  The kernel's invariant is that every callback is dispatched
-in ``(time, seq)`` order through the event hook; the golden corpus in
-``tests/golden/des_results.json`` and the oracle property in
-``tests/test_sim_oracle.py`` pin it.
+timelines.  The kernel's invariant is that every callback runs in the
+``(time, seq)`` order a plain push-every-callback kernel gives it; the
+golden corpus in ``tests/golden/des_results.json`` and the oracle
+property in ``tests/test_sim_oracle.py`` pin it.
 
 Hot path: a simulated iteration dispatches a few thousand callbacks, so
 the kernel pushes heap entries inline rather than through a helper,
 timeouts schedule their own bound ``succeed``, and processes keep their
-bound ``_resume`` and ``generator.send``.
+bound ``_resume`` and ``generator.send``.  A callback that would be the
+very next one popped runs in place instead of being pushed.  That is
+the case when no other heap entry is due at the current time (the heap
+is empty or its head is later than ``now``).  Then a process keeps
+sending while the event it yielded has already triggered, and a
+:class:`~repro.sim.resources.RateChannel` starts an idle lane's request,
+or finishes a completed one, without a heap entry.  Such a callback runs
+exactly where the heap would have run it, so no order changes; it only
+skips the push, the pop and the event hook.
 """
 
 from __future__ import annotations
@@ -144,21 +152,29 @@ class Process(Event):
 
     def _resume(self, event: Any) -> None:
         # Sending None to a fresh generator starts it, like next().
-        try:
-            target = self._send(event.value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process yielded {target!r}; processes must yield Event instances"
-            )
-        if target.triggered:
-            sim = self.sim
-            heappush(sim._heap, (sim.now, sim._seq, self._wake, target))
-            sim._seq += 1
-        else:
-            target._callbacks.append(self._wake)
+        sim = self.sim
+        heap = sim._heap
+        value = event.value
+        while True:
+            try:
+                target = self._send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process yielded {target!r}; processes must yield Event instances"
+                )
+            if not target.triggered:
+                target._callbacks.append(self._wake)
+                return
+            now = sim.now
+            if heap and heap[0][0] <= now:
+                # Another callback is due first: queue behind it.
+                heappush(heap, (now, sim._seq, self._wake, target))
+                sim._seq += 1
+                return
+            value = target.value
 
 
 class _Start:
@@ -194,7 +210,8 @@ def event_kind(callback: Callable[[Any], None]) -> str:
     """The event-type name a dispatch callback belongs to.
 
     Heap callbacks are bound methods of kernel objects (``Timeout.succeed``,
-    ``Process._resume``, ``Event``-callback closures from user code), so
+    ``Process._resume``, ``RateChannel`` starts and completions,
+    ``Event``-callback closures from user code), so
     the owner's class name is the natural per-event-type key the hot-spot
     counters aggregate on.
     """

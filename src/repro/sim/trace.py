@@ -16,16 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class TraceInterval:
+class TraceInterval(NamedTuple):
     """One busy interval on a resource.
 
     ``amount`` is bytes for links, FLOPs for compute resources, parameters
     for the CPU-Adam resource — whatever unit the resource's rate uses.
+    A named tuple: the simulator records one per transfer, and a tuple
+    is the cheapest immutable record Python builds.
     """
 
     resource: str

@@ -106,7 +106,7 @@ class TestKernel:
 
 
 class TestExclusiveResource:
-    """A one-permit semaphore is a FIFO mutex: every channel's lane."""
+    """A one-permit semaphore is a FIFO mutex."""
 
     def test_fifo_ordering(self):
         sim = Simulator()
@@ -163,7 +163,7 @@ def _served(channel: RateChannel, amount: float, **kwargs) -> float:
     """Seconds one ``use`` of ``amount`` takes on an idle channel."""
 
     def sender():
-        yield from channel.use(amount, **kwargs)
+        yield channel.use(amount, **kwargs)
 
     channel.sim.process(sender())
     return channel.sim.run()
@@ -198,7 +198,7 @@ class TestRateChannel:
         channel = RateChannel(sim, "link", 1 * GB, trace)
 
         def sender(nbytes):
-            yield from channel.use(nbytes, "x")
+            yield channel.use(nbytes, "x")
 
         sim.process(sender(1 * GB))
         sim.process(sender(2 * GB))
@@ -213,12 +213,104 @@ class TestRateChannel:
         channel = RateChannel(sim, "link", 1 * GB, Trace())
 
         def sender(nbytes):
-            yield from channel.use(nbytes)
+            yield channel.use(nbytes)
 
         for nbytes in sizes:
             sim.process(sender(nbytes))
         sim.run()
         assert sim.now == pytest.approx(sum(sizes) / GB)
+
+
+class TestChannelQueue:
+    """What a channel's own FIFO queue keeps of the lane it replaced."""
+
+    def test_zero_amount_behind_a_busy_lane_is_fifo_and_instant(self):
+        sim = Simulator()
+        trace = Trace()
+        channel = RateChannel(sim, "link", 1 * GB, trace)
+        ends = {}
+
+        def sender(name, nbytes):
+            ends[name] = yield channel.use(nbytes, name)
+
+        sim.process(sender("big", 2 * GB))
+        sim.process(sender("empty", 0.0))
+        sim.process(sender("small", 1 * GB))
+        sim.run()
+        assert [i.label for i in trace.intervals] == ["big", "empty", "small"]
+        assert ends == {"big": 2.0, "empty": 2.0, "small": 3.0}
+        empty = trace.intervals[1]
+        assert (empty.start, empty.end, empty.duration) == (2.0, 2.0, 0.0)
+
+    def test_queued_request_priced_at_the_rate_in_force_when_granted(self):
+        sim = Simulator()
+        trace = Trace()
+        channel = RateChannel(sim, "link", 1 * GB, trace)
+
+        def sender(nbytes):
+            yield channel.use(nbytes)
+
+        def sag():
+            yield sim.timeout(0.5)  # while the second request waits
+            channel.derate(0.5)
+
+        sim.process(sender(1 * GB))
+        sim.process(sender(1 * GB))
+        sim.process(sag())
+        sim.run()
+        first, second = trace.intervals
+        assert (first.start, first.end) == (0.0, 1.0)  # granted before the sag
+        assert (second.start, second.end) == (1.0, 3.0)
+
+    def test_queued_ssd_request_priced_after_a_dropout(self):
+        server = EVALUATION_SERVER.with_ssds(6)
+        machine = Machine(server)
+
+        def reader():
+            yield machine.ssd.use(32 * GB, "first")
+            machine.fail_ssds(5)  # ends at 1.0 s; the queued read is granted next
+
+        def waiter():
+            yield machine.ssd.use(server.with_ssds(1).ssd_read_bw, "second")
+
+        machine.sim.process(reader())
+        machine.sim.process(waiter())
+        machine.run()
+        first, second = machine.trace.intervals
+        assert first.end == pytest.approx(1.0)
+        assert second.duration == pytest.approx(1.0)
+
+    def test_hold_returns_its_start_time(self):
+        sim = Simulator()
+        channel = RateChannel(sim, "link", 1 * GB, Trace())
+        starts = []
+
+        def sender():
+            yield channel.use(2 * GB)
+
+        def staller():
+            starts.append((yield channel.hold(0.5)))
+            starts.append(sim.now)
+
+        sim.process(sender())
+        sim.process(staller())
+        sim.run()
+        assert starts == [2.0, 2.5]
+
+    def test_use_event_joins_all_of(self):
+        sim = Simulator()
+        trace = Trace()
+        m2g = RateChannel(sim, "m2g", 1 * GB, trace)
+        g2m = RateChannel(sim, "g2m", 1 * GB, trace)
+
+        def both():
+            return (yield sim.all_of([m2g.use(1 * GB, "in"), g2m.use(3 * GB, "out")]))
+
+        proc = sim.process(both())
+        sim.run()
+        assert proc.value == [1.0, 3.0]
+        assert sim.now == 3.0
+        assert sorted(i.label for i in trace.intervals) == ["in", "out"]
 
 
 class TestMachine:
@@ -234,10 +326,10 @@ class TestMachine:
         machine = Machine(EVALUATION_SERVER.with_ssds(6))
 
         def reader():
-            yield from machine.ssd.use(32 * GB, "ssd_read")
+            yield machine.ssd.use(32 * GB, "ssd_read")
 
         def writer():
-            yield from machine.ssd.use(21 * GB, "ssd_write", write=True)
+            yield machine.ssd.use(21 * GB, "ssd_write", write=True)
 
         machine.sim.process(reader())
         machine.sim.process(writer())
@@ -250,10 +342,10 @@ class TestMachine:
         machine = Machine(EVALUATION_SERVER)
 
         def down():
-            yield from machine.pcie_m2g[0].use(21 * GB)
+            yield machine.pcie_m2g[0].use(21 * GB)
 
         def up():
-            yield from machine.pcie_g2m[0].use(21 * GB)
+            yield machine.pcie_g2m[0].use(21 * GB)
 
         machine.sim.process(down())
         machine.sim.process(up())
@@ -268,7 +360,7 @@ class TestMachine:
         machine = Machine(EVALUATION_SERVER.with_ssds(0))
 
         def reader():
-            yield from machine.ssd.use(1.0)
+            yield machine.ssd.use(1.0)
 
         machine.sim.process(reader())
         with pytest.raises(RuntimeError):

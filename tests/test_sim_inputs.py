@@ -38,12 +38,13 @@ CASES = {
         ValueError, lambda: RateChannel(Simulator(), "link", 1.0, Trace(), write_rate=NAN)
     ),
     "derate-nan": (ValueError, lambda: _channel().derate(NAN)),
-    "use-nan": (ValueError, lambda: next(_channel().use(NAN))),
-    "use-inf": (ValueError, lambda: next(_channel().use(INF))),
-    "use-efficiency-nan": (ValueError, lambda: next(_channel().use(1.0, efficiency=NAN))),
-    "ssd-read-nan": (ValueError, lambda: next(_ssd().use(NAN))),
-    "ssd-write-inf": (ValueError, lambda: next(_ssd().use(INF, write=True))),
+    "use-nan": (ValueError, lambda: _channel().use(NAN)),
+    "use-inf": (ValueError, lambda: _channel().use(INF)),
+    "use-efficiency-nan": (ValueError, lambda: _channel().use(1.0, efficiency=NAN)),
+    "ssd-read-nan": (ValueError, lambda: _ssd().use(NAN)),
+    "ssd-write-inf": (ValueError, lambda: _ssd().use(INF, write=True)),
     "ssd-derate-nan": (ValueError, lambda: _ssd().derate(NAN)),
+    "hold-inf": (SimulationError, lambda: _channel().hold(INF)),
     "record-start-nan": (ValueError, lambda: Trace().record("r", "l", NAN, 0.0, 0.0)),
     "record-end-nan": (ValueError, lambda: Trace().record("r", "l", 0.0, NAN, 0.0)),
     "record-end-inf": (ValueError, lambda: Trace().record("r", "l", 0.0, INF, 0.0)),
@@ -68,5 +69,33 @@ class TestNonFiniteInputs:
     def test_rejected_transfer_leaves_totals_untouched(self):
         machine = Machine(evaluation_server())
         with pytest.raises(ValueError):
-            next(machine.ssd.use(NAN))
+            machine.ssd.use(NAN)
         assert machine.trace.moved("ssd") == 0.0
+
+
+class TestGrantTimeErrors:
+    """Rates are read when a request is granted, so some errors wait for it."""
+
+    def test_zero_rate_channel_raises_at_grant(self):
+        sim = Simulator()
+        channel = RateChannel(sim, "link", 0.0, Trace())
+
+        def sender():
+            yield channel.use(1.0)
+
+        sim.process(sender())
+        with pytest.raises(RuntimeError, match="no working device"):
+            sim.run()
+
+    def test_finite_amount_over_a_tiny_rate_never_ends(self):
+        sim = Simulator()
+        channel = RateChannel(sim, "link", 1.0, Trace())
+        channel.derate(1e-300)
+
+        def sender():
+            yield channel.use(1e10)
+
+        sim.process(sender())
+        with pytest.raises(SimulationError) as info:
+            sim.run()
+        assert "\n" not in str(info.value)
