@@ -31,12 +31,16 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _WALL_TIMES: dict[str, dict[str, float]] = {}
 
 
-def _merge(base: dict, update: dict) -> dict:
-    """Recursive dict merge (``update`` wins on scalar conflicts)."""
-    merged = dict(base)
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value)
+def _merge(existing: dict, payload: dict) -> dict:
+    """``existing`` with every key ``payload`` names replaced whole.
+
+    The ``tests`` wall-time map is the exception: it merges test by
+    test, because each test adds its own entry.
+    """
+    merged = dict(existing)
+    for key, value in payload.items():
+        if key == "tests" and isinstance(merged.get(key), dict):
+            merged[key] = {**merged[key], **value}
         else:
             merged[key] = value
     return merged
@@ -45,10 +49,12 @@ def _merge(base: dict, update: dict) -> dict:
 def write_bench_json(name: str, payload: dict) -> str:
     """Merge ``payload`` into ``benchmarks/results/BENCH_<name>.json``.
 
-    Existing keys the payload does not mention survive (so a ``-m
-    bench_smoke`` subset run does not erase the full run's numbers, and
-    the wall-time hook does not erase a module's explicit payload).
-    Returns the path written.
+    A key the payload names is replaced, nested sections included, so a
+    number the bench no longer measures cannot survive inside a section
+    it rewrites.  Keys the payload does not mention survive (so a ``-m
+    bench_smoke`` subset run does not erase the full run's numbers, the
+    wall-time hook does not erase a module's explicit payload, and
+    hand-kept ``before`` blocks stay).  Returns the path written.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
