@@ -7,11 +7,12 @@ moments (P32 + OS32) live in the storage hierarchy (host or NVMe tier),
 fp16 gradients arrive from the "GPU", and each step produces a fresh
 fp16 parameter copy (P16) for the next iteration's compute.
 
-``CPUAdam.step_param`` updates a *single* parameter tensor — the unit
-Ratel's active gradient offloading calls the moment that parameter's
-gradient lands in main memory (§IV-C).  Updates are synchronous: the
-parameter's fp16 copy is refreshed before any later iteration reads it,
-so there is no staleness (verified by the equivalence tests).
+``CPUAdam.step_param`` updates one *group* of parameters — a
+transformer block's, in the runtime — the unit Ratel's active gradient
+offloading calls the moment the group's last gradient lands in main
+memory (§IV-C).  Updates are synchronous: the group's fp16 copies are
+refreshed before any later iteration reads them, so there is no
+staleness (verified by the equivalence tests).
 """
 
 from __future__ import annotations
@@ -286,20 +287,28 @@ def clip_gradients(params: list[tuple[str, Tensor]], max_norm: float) -> float:
 class CPUAdam:
     """Out-of-core mixed-precision Adam over a storage hierarchy.
 
-    For each parameter ``name`` the optimizer owns two stored records:
+    Parameters update in *groups*.  ``groups`` lists ``(group name,
+    member names)`` pairs; left out, every parameter is a group of one.
+    The runtime makes each transformer block's parameters one group and
+    the parameters outside every block one more, so a step moves a
+    block's states once, as Ratel's out-of-core Adam does (§IV-C).  For
+    each group the optimizer owns two stored records, its members
+    flattened and concatenated in member order:
 
-    * ``{name}.states`` — the fp32 master weights and both Adam moments
-      (P32 + OS32, 12 bytes/param) as one ``(3, *shape)`` array, so they
-      move, spill and checksum as one unit, as Ratel's out-of-core Adam
-      moves them (§IV-C);
-    * ``{name}.p16`` — the fp16 compute copy the model reads.
+    * ``{group}.states`` — the fp32 master weights and both Adam moments
+      (P32 + OS32, 12 bytes/param) as one ``(3, n)`` array, so they
+      move, spill and checksum as one unit;
+    * ``{group}.p16`` — the fp16 compute copy the model reads, ``(n,)``.
 
     ``states_tier`` is where both rest between steps (``nvme`` for
     Ratel/ZeRO-Infinity, ``host`` for ZeRO-Offload); each ``step_param``
     moves them to the host, updates, and moves them back — every byte of
     which the :class:`~repro.runtime.storage.StorageManager` counts.
-    This class alone names the records: checkpoints go through
-    :meth:`read_states` and :meth:`install_states`.
+    Adam is elementwise, so a group's update leaves every weight and
+    moment bit-identical to updating its members one by one.  This class
+    alone names the records: checkpoints go through :meth:`read_group`
+    and :meth:`install_group`, and :meth:`read_states` and
+    :meth:`install_states` give one parameter's share.
     """
 
     def __init__(
@@ -311,6 +320,7 @@ class CPUAdam:
         eps: float = 1e-8,
         states_tier: str = st.NVME,
         weight_decay: float = 0.0,
+        groups: list[tuple[str, tuple[str, ...]]] | None = None,
     ) -> None:
         if states_tier not in (st.NVME, st.HOST):
             raise OptimizerError("states_tier must be 'nvme' or 'host'")
@@ -322,41 +332,107 @@ class CPUAdam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.states_tier = states_tier
-        self.step_counts: dict[str, int] = {}
         self.params = dict(params)
-        for name, param in params:
-            moments = np.zeros_like(param.data)
-            states = np.stack([param.data, moments, moments])
-            p16 = param.data.astype(np.float16).astype(np.float32)
-            for stored in (
-                manager.put(f"{name}.states", states, st.HOST, itemsize=4),
-                manager.put(f"{name}.p16", p16, st.HOST, itemsize=2),
-            ):
-                manager.move(stored, states_tier)
-            self.step_counts[name] = 0
-            # The model computes on the fp16 copy from step zero,
-            # exactly like mixed-precision PyTorch training.
-            param.data = p16.copy()
+        if groups is None:
+            groups = [(name, (name,)) for name in self.params]
+        #: group name -> member parameter names, in flat order.
+        self.groups: dict[str, tuple[str, ...]] = {}
+        #: group name -> updates applied (a member's count is its group's).
+        self.step_counts: dict[str, int] = {}
+        self._group_of: dict[str, str] = {}
+        #: parameter name -> (start, stop, shape) in its group's flat arrays.
+        self._layout: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        for group, members in groups:
+            self._add_group(group, tuple(members))
+        ungrouped = [name for name in self.params if name not in self._group_of]
+        if ungrouped:
+            raise OptimizerError(f"parameters in no group: {ungrouped}")
+
+    def _add_group(self, group: str, members: tuple[str, ...]) -> None:
+        if group in self.groups:
+            raise OptimizerError(f"duplicate parameter group {group!r}")
+        if not members:
+            raise OptimizerError(f"parameter group {group!r} is empty")
+        start = 0
+        for name in members:
+            if name not in self.params:
+                raise OptimizerError(f"group {group!r} names unknown parameter {name!r}")
+            if name in self._group_of:
+                raise OptimizerError(
+                    f"parameter {name!r} is in groups {self._group_of[name]!r} and {group!r}"
+                )
+            data = self.params[name].data
+            stop = start + data.size
+            self._layout[name] = (start, stop, data.shape)
+            self._group_of[name] = group
+            start = stop
+        self.groups[group] = members
+        weights = np.concatenate([self.params[name].data.reshape(-1) for name in members])
+        moments = np.zeros_like(weights)
+        p16 = weights.astype(np.float16).astype(np.float32)
+        for stored in (
+            self.manager.put(
+                f"{group}.states", np.stack([weights, moments, moments]), st.HOST, itemsize=4
+            ),
+            self.manager.put(f"{group}.p16", p16, st.HOST, itemsize=2),
+        ):
+            self.manager.move(stored, self.states_tier)
+        self.step_counts[group] = 0
+        # The model computes on the fp16 copy from step zero,
+        # exactly like mixed-precision PyTorch training.
+        for name in members:
+            self.params[name].data = self.view(name, p16).copy()
+
+    def group_of(self, name: str) -> str:
+        """The group parameter ``name`` updates with."""
+        try:
+            return self._group_of[name]
+        except KeyError:
+            raise OptimizerError(f"unknown parameter {name!r}") from None
+
+    def group_size(self, group: str) -> int:
+        """Elements in ``group``'s flat arrays."""
+        return self._layout[self.groups[group][-1]][1]
+
+    def view(self, name: str, flat: np.ndarray) -> np.ndarray:
+        """Parameter ``name``'s part of an array laid out like its group.
+
+        ``flat`` ends in the group's flat axis (a gradient or P16 of
+        shape ``(n,)``, a state record of shape ``(3, n)``); the view has
+        the parameter's shape on that axis.
+        """
+        start, stop, shape = self._layout[name]
+        return flat[..., start:stop].reshape(flat.shape[:-1] + shape)
 
     def step_param(self, name: str, grad_fp16: np.ndarray) -> np.ndarray:
-        """Consume one parameter's gradient: fetch states, update, write back.
+        """Consume one group's gradient: fetch states, update, write back.
 
-        Returns the refreshed fp16 copy (already stored); the caller
-        installs it into the model parameter for the next iteration.
-        This is the §IV-C user-level handler.
+        ``name`` is a group (for a parameter that is its own group, the
+        parameter) and ``grad_fp16`` holds the group's gradient in its
+        flat order, in any shape with that many elements.  Returns the
+        refreshed fp16 copy (already stored) in the gradient's shape;
+        the caller installs each member's :meth:`view` of it into the
+        model for the next iteration.  This is the §IV-C user-level
+        handler.
         """
-        if name not in self.params:
-            raise OptimizerError(f"unknown parameter {name!r}")
+        if name not in self.groups:
+            raise OptimizerError(f"unknown parameter group {name!r}")
+        if grad_fp16.size != self.group_size(name):
+            raise OptimizerError(
+                f"group {name!r} has {self.group_size(name)} elements, "
+                f"its gradient {grad_fp16.size}"
+            )
         self.step_counts[name] += 1
         step = self.step_counts[name]
         with _spans.maybe_span(
             _spans.RT_CPU_ADAM, f"adam:{name}", float(grad_fp16.size)
         ):
-            return self._step_param(name, step, grad_fp16)
+            fresh_p16 = self._step_group(name, step, grad_fp16.reshape(-1))
+        return fresh_p16.reshape(grad_fp16.shape)
 
-    def _step_param(self, name: str, step: int, grad_fp16: np.ndarray) -> np.ndarray:
-        states = self.manager.get(f"{name}.states")
-        p16 = self.manager.get(f"{name}.p16")
+    def _step_group(self, group: str, step: int, grad_fp16: np.ndarray) -> np.ndarray:
+        states = self.manager.get(f"{group}.states")
+        p16 = self.manager.get(f"{group}.p16")
         # SSD -> main: bring the states to the CPU.
         self.manager.move(states, st.HOST)
 
@@ -381,13 +457,32 @@ class CPUAdam:
             self.manager.move(stored, self.states_tier)
         return fresh_p16
 
-    def read_states(self, name: str) -> np.ndarray:
-        """Copies of a parameter's P32, M32 and V32, stacked on axis 0."""
-        stored = self.manager.get(f"{name}.states")
+    def read_group(self, group: str) -> np.ndarray:
+        """A copy of a group's ``(3, n)`` record: its P32, M32 and V32 rows."""
+        stored = self.manager.get(f"{group}.states")
         self.manager.move(stored, st.HOST)
         value = stored.data().copy()
         self.manager.move(stored, self.states_tier)
         return value
+
+    def install_group(self, group: str, states: np.ndarray) -> np.ndarray:
+        """Overwrite a group's ``(3, n)`` record (a checkpoint restore).
+
+        The fp16 copy is rederived from the P32 row and stored too; it
+        is returned, flat, for the caller to install each member's
+        :meth:`view` of into the model.
+        """
+        fresh_p16 = states[0].astype(np.float16).astype(np.float32)
+        for suffix, value in (("states", states), ("p16", fresh_p16)):
+            stored = self.manager.get(f"{group}.{suffix}")
+            self.manager.move(stored, st.HOST)
+            stored.array = np.array(value, dtype=np.float32)
+            self.manager.move(stored, self.states_tier)
+        return fresh_p16
+
+    def read_states(self, name: str) -> np.ndarray:
+        """Copies of a parameter's P32, M32 and V32, stacked on axis 0."""
+        return self.view(name, self.read_group(self.group_of(name))).copy()
 
     def master_weights(self, name: str) -> np.ndarray:
         """Read a parameter's fp32 master copy (for verification)."""
@@ -396,15 +491,11 @@ class CPUAdam:
     def install_states(
         self, name: str, p32: np.ndarray, m32: np.ndarray, v32: np.ndarray
     ) -> np.ndarray:
-        """Overwrite a parameter's states (a checkpoint restore).
+        """Overwrite one parameter's states; returns its fresh fp16 copy.
 
-        The fp16 copy is rederived from ``p32`` and stored too; it is
-        returned for the caller to install into the model.
+        The rest of its group keeps its states (see :meth:`install_group`).
         """
-        fresh_p16 = p32.astype(np.float16).astype(np.float32)
-        for suffix, value in (("states", np.stack([p32, m32, v32])), ("p16", fresh_p16)):
-            stored = self.manager.get(f"{name}.{suffix}")
-            self.manager.move(stored, st.HOST)
-            stored.array = np.ascontiguousarray(value, dtype=np.float32)
-            self.manager.move(stored, self.states_tier)
-        return fresh_p16
+        group = self.group_of(name)
+        states = self.read_group(group)
+        self.view(name, states)[...] = np.stack([p32, m32, v32])
+        return self.view(name, self.install_group(group, states))

@@ -11,6 +11,7 @@ from repro.runtime import (
     HOST,
     NVME,
     OptimizerError,
+    StorageError,
     StorageManager,
     Tensor,
 )
@@ -131,6 +132,13 @@ class TestCPUAdam:
         finally:
             manager.close()
 
+    def test_unknown_group_and_wrong_gradient_size_rejected(self, setup):
+        _mgr, _param, optimizer, _orig = setup
+        with pytest.raises(OptimizerError, match="64 elements"):
+            optimizer.step_param("w", np.zeros(63, dtype=np.float32))
+        with pytest.raises(OptimizerError):
+            optimizer.group_of("nope")
+
     def test_per_param_step_counts_independent(self, rng, tmp_path):
         """Active offloading updates parameters at different times; the
         bias correction must track each parameter's own step count."""
@@ -143,5 +151,102 @@ class TestCPUAdam:
             optimizer.step_param("a", np.ones(4, dtype=np.float32))
             optimizer.step_param("b", np.ones(4, dtype=np.float32))
             assert optimizer.step_counts == {"a": 2, "b": 1}
+        finally:
+            manager.close()
+
+
+class TestCPUAdamGroups:
+    """Several parameters in one group: one record, one update."""
+
+    @pytest.fixture
+    def grouped(self, rng, tmp_path):
+        manager = StorageManager(10 * MB, 10 * MB, 100 * MB, spill_dir=str(tmp_path))
+        params = {
+            "a": Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True),
+            "b": Tensor(rng.normal(size=(5,)).astype(np.float32), requires_grad=True),
+            "c": Tensor(rng.normal(size=(2, 2)).astype(np.float32), requires_grad=True),
+        }
+        optimizer = CPUAdam(
+            list(params.items()), manager, lr=1e-2, states_tier=NVME,
+            groups=[("ab", ("a", "b")), ("c", ("c",))],
+        )
+        yield manager, params, optimizer
+        manager.close()
+
+    def test_one_record_per_group(self, grouped):
+        manager, params, optimizer = grouped
+        assert optimizer.groups == {"ab": ("a", "b"), "c": ("c",)}
+        assert optimizer.group_of("b") == "ab"
+        assert optimizer.group_size("ab") == 17
+        states = optimizer.read_group("ab")
+        assert states.shape == (3, 17)
+        np.testing.assert_array_equal(optimizer.view("a", states[0]), optimizer.master_weights("a"))
+        assert optimizer.read_states("a").shape == (3, 3, 4)
+        for suffix in ("states", "p16"):
+            assert manager.get(f"ab.{suffix}").tier == NVME
+        with pytest.raises(StorageError):
+            manager.get("a.states")
+
+    def test_group_step_equals_member_steps(self, grouped, rng):
+        """Adam is elementwise: the grouped update is bit-identical to
+        updating each member as a group of one."""
+        _manager, params, optimizer = grouped
+        alone = StorageManager(10 * MB, 10 * MB, 100 * MB)
+        try:
+            twins = {
+                name: Tensor(optimizer.master_weights(name), requires_grad=True)
+                for name in params
+            }
+            single = CPUAdam(list(twins.items()), alone, lr=1e-2, states_tier=NVME)
+            for _step in range(3):
+                grads = {
+                    name: rng.normal(size=p.data.shape).astype(np.float16).astype(np.float32)
+                    for name, p in params.items()
+                }
+                flat = np.concatenate([grads["a"].reshape(-1), grads["b"]])
+                fresh = optimizer.step_param("ab", flat)
+                optimizer.step_param("c", grads["c"])
+                for name in ("a", "b"):
+                    np.testing.assert_array_equal(
+                        optimizer.view(name, fresh), single.step_param(name, grads[name])
+                    )
+                single.step_param("c", grads["c"])
+            for name in params:
+                np.testing.assert_array_equal(
+                    optimizer.read_states(name), single.read_states(name)
+                )
+            assert optimizer.step_counts == {"ab": 3, "c": 3}
+        finally:
+            alone.close()
+
+    def test_install_states_touches_one_member(self, grouped):
+        _manager, params, optimizer = grouped
+        before_b = optimizer.read_states("b")
+        p32 = np.full((3, 4), 0.25, dtype=np.float32)
+        fresh = optimizer.install_states("a", p32, p32 * 2, p32 * 3)
+        assert fresh.shape == (3, 4)
+        np.testing.assert_array_equal(optimizer.read_states("a"), np.stack([p32, p32 * 2, p32 * 3]))
+        np.testing.assert_array_equal(optimizer.read_states("b"), before_b)
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([("g", ("a", "nope"))], "unknown parameter"),
+            ([("g", ("a",)), ("h", ("a",))], "in groups"),
+            ([("g", ("a",))], "in no group"),
+            ([("g", ())], "empty"),
+            ([("g", ("a",)), ("g", ("b",))], "duplicate"),
+        ],
+        ids=["unknown", "twice", "ungrouped", "empty", "duplicate"],
+    )
+    def test_invalid_groupings_rejected(self, rng, tmp_path, groups, message):
+        manager = StorageManager(10 * MB, 10 * MB, 100 * MB, spill_dir=str(tmp_path))
+        try:
+            params = [
+                (name, Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True))
+                for name in ("a", "b")
+            ]
+            with pytest.raises(OptimizerError, match=message):
+                CPUAdam(params, manager, states_tier=HOST, groups=groups)
         finally:
             manager.close()

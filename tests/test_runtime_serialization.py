@@ -143,6 +143,27 @@ class TestCheckpointFailurePaths:
             with pytest.raises(CheckpointError, match="different model configuration"):
                 load_checkpoint(path, model, optimizer.cpu_adam)
 
+    def test_unequal_counts_within_a_group_rejected(self, tmp_path):
+        """A block's parameters update together, so a checkpoint that
+        gives them different step counts (one saved by a per-parameter
+        ``async`` run, say) cannot load into a block-grouped optimizer."""
+        path = str(tmp_path / "ckpt.npz")
+        with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB):
+            model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(1))
+            runtime = ratel_hook(model)
+            optimizer = RatelOptimizer(model, runtime, lr=1e-2)
+            save_checkpoint(path, optimizer.cpu_adam)
+        with np.load(path) as archive:
+            staged = {key: archive[key] for key in archive.files}
+        staged["block0.ln1.gain::count"] = np.array([3])
+        np.savez(path, **staged)
+        with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB):
+            model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(1))
+            runtime = ratel_hook(model)
+            optimizer = RatelOptimizer(model, runtime, lr=1e-2)
+            with pytest.raises(CheckpointError, match="'block0'"):
+                load_checkpoint(path, model, optimizer.cpu_adam)
+
     def test_failed_load_leaves_training_state_untouched(self, tmp_path):
         """Validation runs before installation: a bad file mutates nothing."""
         loss_fn = CrossEntropyLoss()
