@@ -9,7 +9,9 @@ layer-norm statistics, GELU, embedding gather and reductions.
 Design notes:
 
 * every op appends a node with a closure ``backward`` that accumulates
-  into the parents' ``grad`` arrays;
+  into the parents' ``grad`` arrays; only a leaf or a hooked tensor owns
+  (copies) its gradient, and an interior node keeps the array it is
+  handed (:meth:`Tensor._accumulate` argues why nothing writes it);
 * :meth:`Tensor.backward` topologically sorts the graph and runs the
   closures in reverse, invoking per-tensor *gradient hooks* the moment a
   leaf's gradient is complete — that is the mechanism Ratel's active
@@ -111,11 +113,37 @@ class Tensor:
             self._backward = backward
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient contribution to :attr:`grad`.
+
+        A gradient that leaves the graph — a leaf's, or a hooked tensor's
+        — reaches gradient handlers, the optimizer and the in-place scale
+        of :func:`~repro.runtime.optim.clip_gradients`, so its first
+        contribution is copied into an array the tensor owns, and later
+        ones add in place.
+
+        An interior node's gradient is read only by the node's own
+        backward closure, so the node keeps the array it is handed, often
+        a child's ``out.grad`` that other parents hold too.  No one
+        writes a borrowed array afterwards: a second contribution
+        replaces it with a fresh float32 sum instead of adding in place
+        (``a + b`` rounds exactly as ``a += b``); the node's backward runs
+        only after all of its contributions, reads the array and writes
+        only fresh ones; and ``backward`` frees the node's graph once the
+        closure ran.  A broadcast view (a zero stride) is copied all the
+        same, so a matmul or reduction over it takes the path it takes
+        over an ordinary array.
+        """
         grad = _unbroadcast(grad, self.data.shape)
+        owner = self._backward is None or bool(self._hooks)
         if self.grad is None:
-            self.grad = grad.astype(np.float32, copy=True)
-        else:
+            if owner or grad.dtype != np.float32 or 0 in grad.strides:
+                self.grad = grad.astype(np.float32, copy=True)
+            else:
+                self.grad = grad
+        elif owner:
             self.grad += grad
+        else:
+            self.grad = np.add(self.grad, grad, out=np.empty_like(self.grad))
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse-mode differentiation from this tensor.

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.runtime import AutogradError, Tensor, is_grad_enabled, no_grad
+from repro.runtime import (
+    AutogradError,
+    CrossEntropyLoss,
+    DiTModel,
+    GPTModel,
+    Tensor,
+    denoising_loss,
+    is_grad_enabled,
+    no_grad,
+)
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -207,3 +216,67 @@ class TestGraphMechanics:
 
     def test_repr_mentions_name(self):
         assert "alpha" in repr(Tensor(np.ones(2), name="alpha"))
+
+
+class TestGradientOwnership:
+    """Leaves own their gradients; interior nodes borrow what they are handed."""
+
+    @staticmethod
+    def _backward(kind: str) -> list[tuple[str, Tensor]]:
+        rng = np.random.default_rng(3)
+        if kind == "shared":
+            # The add node hands one array to both of its parents.
+            a, b, c = (
+                Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+                for _ in range(3)
+            )
+            ((a + b) * c).sum().backward()
+            return [("a", a), ("b", b), ("c", c)]
+        if kind == "gpt":
+            model = GPTModel(23, 16, 2, 2, 8, rng)
+            ids = rng.integers(0, 23, size=(2, 8))
+            CrossEntropyLoss()(model(ids), np.roll(ids, -1, axis=1)).backward()
+        else:
+            model = DiTModel(dim=16, n_layers=2, n_heads=2, rng=rng)
+            for block in model.blocks:  # open the adaLN-zero gates
+                block.modulation.weight.data[:] = rng.normal(size=(16, 96)) * 0.1
+            noise = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
+            denoising_loss(
+                model, noise * 2, noise, rng.integers(0, 1000, 2), rng.integers(0, 10, 2)
+            ).backward()
+        return list(model.named_parameters())
+
+    @pytest.mark.parametrize("kind", ["shared", "gpt", "dit"])
+    def test_every_parameter_gradient_owns_its_memory(self, kind):
+        """Scaling one gradient in place (as ``clip_gradients`` does) leaves
+        every other gradient unchanged."""
+        params = self._backward(kind)
+        grads = {name: param.grad for name, param in params}
+        assert all(grad.flags.owndata for grad in grads.values())
+        expected = {name: grad.copy() for name, grad in grads.items()}
+        for name, grad in grads.items():
+            grad *= 0.5
+            expected[name] *= 0.5
+            for other, value in grads.items():
+                np.testing.assert_array_equal(value, expected[other], err_msg=f"{name} -> {other}")
+
+    def test_interior_node_borrows_and_sums_into_a_fresh_array(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = x * 2
+        handed = np.full(3, 1.5, dtype=np.float32)
+        y._accumulate(handed)
+        assert y.grad is handed
+        y._accumulate(np.full(3, 0.25, dtype=np.float32))
+        assert y.grad is not handed
+        np.testing.assert_array_equal(handed, np.full(3, 1.5))
+        np.testing.assert_array_equal(y.grad, np.full(3, 1.75))
+
+    def test_hooked_interior_node_owns_its_gradient(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = x * 2
+        seen = []
+        y.register_hook(lambda t: seen.append(t.grad))
+        (y * 3).sum().backward()
+        (grad,) = seen
+        assert grad.flags.owndata
+        np.testing.assert_array_equal(grad, np.full(3, 3.0))
