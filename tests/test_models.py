@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +94,31 @@ class TestSyntheticFamily:
     def test_rejects_nonpositive(self):
         with pytest.raises(ModelConfigError):
             synthetic_llm(0)
+
+    def test_table_matches_the_bisection(self):
+        """The cached table answers as bisecting over built configs did:
+        at every family size, one parameter and half a parameter either
+        side of it, past the largest member, and at random targets."""
+
+        def bisected(n_params):
+            lo, hi = 1, 512
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if TransformerConfig("s", mid, mid, 128 * mid).n_params >= n_params:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return TransformerConfig(f"synthetic-{128 * lo}", lo, lo, 128 * lo)
+
+        sizes = [TransformerConfig("s", k, k, 128 * k).n_params for k in range(1, 513)]
+        targets = [size + delta for size in sizes for delta in (-1, -0.5, 0, 0.5, 1)]
+        targets += list(np.random.default_rng(0).uniform(1, sizes[-1] * 1.1, 2_000))
+        targets += [1, 0.5, sizes[-1] * 4]
+        for target in targets:
+            assert synthetic_llm(target) == bisected(target), target
+        for bad in (0, -1.0, float("nan")):
+            with pytest.raises(ModelConfigError):
+                synthetic_llm(bad)
 
     @given(st.floats(min_value=1e8, max_value=5e11))
     @settings(max_examples=25, deadline=None)
