@@ -3,15 +3,18 @@
 Not a paper figure — this times the NumPy substrate itself: a full
 forward/backward/active-optimizer iteration of the small GPT that
 perfbench's ``train_step`` workload runs, with checkpointed blocks,
-NVMe-tier states and per-parameter CPU-Adam handlers.  After two warm-up
-steps it observes STEPS more, each under its own :func:`repro.obs.observe`
-block with a metrics registry, and records for every ``rt_*`` lane the
-busy milliseconds (``rt_busy_seconds_total``), minimum over the steps,
-plus the storage moves per step (spans on the tier-link lanes).
+NVMe-tier states and CPU-Adam handlers that update each block's
+parameters (and the ones outside every block) at once.  After two
+warm-up steps it observes STEPS more, each under its own
+:func:`repro.obs.observe` block with a metrics registry, and records for
+every ``rt_*`` lane the busy milliseconds (``rt_busy_seconds_total``),
+minimum over the steps, plus the storage moves per step (spans on the
+tier-link lanes) and the CPU-Adam updates per step (spans on
+``rt_cpu_adam``).
 
 Lanes nest, so they do not add up to ``rt_step``: a tier move's lane
 includes the spill or load it runs on ``rt_ssd``, and ``rt_cpu_adam``
-includes the moves of the parameter's states.  Results land in
+includes the moves of the group's states.  Results land in
 ``benchmarks/results/BENCH_runtime.json``; its ``before`` block is this
 file run at 334937e on the same host.  Runs under the ``bench_smoke``
 marker.
@@ -25,7 +28,7 @@ import platform
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, link_lane, observe
+from repro.obs import RT_CPU_ADAM, MetricsRegistry, link_lane, observe
 from repro.runtime import (
     GPU,
     HOST,
@@ -63,6 +66,7 @@ def test_runtime_train_step():
     loss_fn = CrossEntropyLoss()
     busy_ms: dict[str, float] = {}
     moves = set()
+    adam_updates = set()
     with ratel_init(gpu_capacity=GB, host_capacity=GB, nvme_capacity=8 * GB):
         model = GPTModel(101, 32, 4, 4, 32, np.random.default_rng(1))
         runtime = ratel_hook(model)
@@ -83,13 +87,16 @@ def test_runtime_train_step():
                 busy_ms[lane] = min(busy_ms.get(lane, float("inf")), seconds * 1e3)
             spans = _lane_totals(registry, "rt_spans_total")
             moves.add(sum(count for lane, count in spans.items() if lane in LINK_LANES))
+            adam_updates.add(spans[RT_CPU_ADAM])
     assert len(moves) == 1, f"moves per step differ between steps: {sorted(moves)}"
+    assert len(adam_updates) == 1, f"Adam updates differ between steps: {sorted(adam_updates)}"
     write_bench_json(
         "runtime",
         {
             "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
             "busy_ms": busy_ms,
             "moves_per_step": moves.pop(),
+            "adam_updates_per_step": adam_updates.pop(),
         },
     )
     print(
