@@ -9,8 +9,9 @@ warm-up steps it observes STEPS more, each under its own
 :func:`repro.obs.observe` block with a metrics registry, and records for
 every ``rt_*`` lane the busy milliseconds (``rt_busy_seconds_total``),
 minimum over the steps, plus the storage moves per step (spans on the
-tier-link lanes) and the CPU-Adam updates per step (spans on
-``rt_cpu_adam``).
+tier-link lanes), the CPU-Adam updates per step (spans on
+``rt_cpu_adam``) and the autograd nodes per step (``Tensor._make_node``
+calls that link a node, counted over the untimed warm-up steps).
 
 Lanes nest, so they do not add up to ``rt_step``: a tier move's lane
 includes the spill or load it runs on ``rt_ssd``, and ``rt_cpu_adam``
@@ -36,6 +37,7 @@ from repro.runtime import (
     CrossEntropyLoss,
     GPTModel,
     RatelOptimizer,
+    Tensor,
     ratel_hook,
     ratel_init,
 )
@@ -60,8 +62,20 @@ def _lane_totals(registry: MetricsRegistry, name: str) -> dict[str, float]:
     }
 
 
+def _counting_nodes(built: list):
+    """``Tensor._make_node`` that appends each tensor it links to ``built``."""
+    make_node = Tensor._make_node
+
+    def counting(tensor, parents, backward):
+        make_node(tensor, parents, backward)
+        if tensor._backward is backward:
+            built.append(tensor)
+
+    return counting
+
+
 @pytest.mark.bench_smoke
-def test_runtime_train_step():
+def test_runtime_train_step(monkeypatch):
     rng = np.random.default_rng(0)
     loss_fn = CrossEntropyLoss()
     busy_ms: dict[str, float] = {}
@@ -77,8 +91,13 @@ def test_runtime_train_step():
         def step() -> float:
             return runtime.train_step(lambda: loss_fn(model(ids), targets))
 
+        nodes = set()
         for _ in range(WARMUP):
-            step()
+            built: list = []
+            with monkeypatch.context() as patch:
+                patch.setattr(Tensor, "_make_node", _counting_nodes(built))
+                step()
+            nodes.add(len(built))
         for _ in range(STEPS):
             registry = MetricsRegistry()
             with observe(registry=registry):
@@ -90,6 +109,7 @@ def test_runtime_train_step():
             adam_updates.add(spans[RT_CPU_ADAM])
     assert len(moves) == 1, f"moves per step differ between steps: {sorted(moves)}"
     assert len(adam_updates) == 1, f"Adam updates differ between steps: {sorted(adam_updates)}"
+    assert len(nodes) == 1, f"autograd nodes differ between steps: {sorted(nodes)}"
     write_bench_json(
         "runtime",
         {
@@ -97,6 +117,7 @@ def test_runtime_train_step():
             "busy_ms": busy_ms,
             "moves_per_step": moves.pop(),
             "adam_updates_per_step": adam_updates.pop(),
+            "autograd_nodes_per_step": nodes.pop(),
         },
     )
     print(
