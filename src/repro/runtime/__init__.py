@@ -43,12 +43,14 @@ from .optim import (
     Adam,
     BoundedStalenessQueue,
     CPUAdam,
+    Fp16RangeError,
     LRSchedule,
     OptimizerError,
     PendingGradient,
     StalenessError,
     clip_gradients,
     gradient_importance,
+    round_fp16,
 )
 from .storage import (
     GPU,
@@ -101,12 +103,14 @@ __all__ = [
     "Adam",
     "BoundedStalenessQueue",
     "CPUAdam",
+    "Fp16RangeError",
     "LRSchedule",
     "OptimizerError",
     "PendingGradient",
     "StalenessError",
     "clip_gradients",
     "gradient_importance",
+    "round_fp16",
     "GPU",
     "HOST",
     "NVME",

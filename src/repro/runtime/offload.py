@@ -11,13 +11,13 @@ substrate) with the paper's two mechanisms:
   before that block's backward (the minimum-safe swap set of §IV-D);
 * **active gradient offloading** — every parameter carries an autograd
   hook that fires the moment its gradient is complete *during* backward
-  and stashes its fp16 gradient.  When the last gradient of a
+  and stashes it.  When the last gradient of a
   :class:`~repro.runtime.optim.CPUAdam` group lands (a transformer
   block's parameters, or the ones outside every block), the group's
-  fp16 gradient moves to the host as one record, the out-of-core Adam
-  consumes it in one update (fetching and writing back the group's
-  fp32 states on their resting tier), and the fresh fp16 copies are
-  installed for the next iteration (§IV-C).
+  gradient is rounded to fp16 once and moves to the host as one record
+  (G16), the out-of-core Adam consumes it in one update (fetching and
+  writing back the group's fp32 states on their resting tier), and the
+  fresh fp16 copies are installed for the next iteration (§IV-C).
 
 No staleness in ``sync`` mode: a block's parameters update only after
 that block's own backward (and recompute) has finished, and no earlier
@@ -63,6 +63,7 @@ from .optim import (
     PendingGradient,
     StalenessError,
     gradient_importance,
+    round_fp16,
 )
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -114,7 +115,7 @@ class RatelRuntime:
         #: overlap mode: group -> queued PendingGradient, insertion-ordered.
         self._overlap_pending: dict[str, object] = {}
         #: This step's landed gradients: group -> member names in arrival
-        #: order, and the fp16 buffer an incomplete group fills.
+        #: order, and the float32 buffer an incomplete group fills.
         self._landed: dict[str, list[str]] = {}
         self._grad_buffers: dict[str, np.ndarray] = {}
         #: Optimizer groups read by each block / outside every block.
@@ -447,7 +448,7 @@ class RatelRuntime:
         param.register_hook(handler)
 
     def _consume_gradient(self, name: str, param: Tensor) -> None:
-        """§IV-C handler: stash the fp16 gradient until its group is complete."""
+        """§IV-C handler: stash the gradient until its group is complete."""
         optimizer = self.optimizer
         if optimizer is None:
             raise RuntimeError(
@@ -456,13 +457,16 @@ class RatelRuntime:
         group = optimizer.group_of(name)
         landed = self._landed.setdefault(group, [])
         if not landed:
-            self._grad_buffers[group] = np.empty(optimizer.group_size(group), np.float16)
-        # Rounds the gradient to fp16, as the GPU would hand it over.
+            self._grad_buffers[group] = np.empty(optimizer.group_size(group), np.float32)
         optimizer.view(name, self._grad_buffers[group])[...] = param.grad
         landed.append(name)
         param.zero_grad()
         if len(landed) == len(optimizer.groups[group]):
-            self._consume_group(group, self._grad_buffers.pop(group))
+            # The group's G16, rounded once in place, as the GPU would hand
+            # it over; an overflow raises here, before its states are read.
+            grad16 = self._grad_buffers.pop(group)
+            round_fp16(grad16, f"gradient of group {group!r}", out=grad16)
+            self._consume_group(group, grad16)
 
     def _consume_group(self, group: str, grad16: np.ndarray) -> None:
         """A complete group: G16 to host as one record, then apply or stash."""

@@ -17,6 +17,7 @@ from repro.runtime import (
     AutogradError,
     CPUAdam,
     CrossEntropyLoss,
+    Fp16RangeError,
     GPTModel,
     HOST,
     NVME,
@@ -442,6 +443,64 @@ class TestOptimizerGroups:
             ((ids, targets),) = make_batches(1)
             with pytest.raises(OptimizerError, match=r"\['block1\.idle'\]"):
                 runtime.train_step(lambda: loss_fn(model(ids), targets))
+
+
+class TestFp16Overflow:
+    """A gradient fp16 cannot hold fails the step before its group's states
+    are read; it used to turn every master weight into NaN."""
+
+    VOCAB, DIM, LAYERS, HEADS, SEQ, BATCH = 37, 32, 2, 4, 16, 4
+
+    def _train(self, scales):
+        """Steps at each loss scale; returns the outcomes, the master and
+        the fp16 weights."""
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, self.VOCAB, size=(self.BATCH, self.SEQ))
+        targets = np.roll(ids, -1, axis=1)
+        loss_fn = CrossEntropyLoss()
+        outcomes = []
+        with ratel_init(
+            gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB,
+            checkpoint_tier=NVME, states_tier=NVME,
+        ):
+            model = GPTModel(
+                self.VOCAB, self.DIM, self.LAYERS, self.HEADS, self.SEQ,
+                np.random.default_rng(5),
+            )
+            runtime = ratel_hook(model)
+            adam = RatelOptimizer(model, runtime, lr=1e-3).cpu_adam
+            for scale in scales:
+                try:
+                    outcomes.append(
+                        runtime.train_step(lambda: loss_fn(model(ids), targets) * scale)
+                    )
+                except Fp16RangeError as exc:
+                    outcomes.append(exc)
+            masters = {name: adam.master_weights(name) for name in adam.params}
+            weights = {name: param.data.copy() for name, param in model.named_parameters()}
+        return outcomes, masters, weights
+
+    def test_an_overflowing_step_raises_and_leaves_every_master_weight_finite(self):
+        outcomes, masters, _weights = self._train([1e7])
+        (error,) = outcomes
+        assert isinstance(error, Fp16RangeError) and isinstance(error, OptimizerError)
+        message = str(error)
+        assert "\n" not in message
+        assert message.startswith("gradient of group 'block1' does not fit fp16: largest magnitude")
+        largest = float(message.split("largest magnitude ")[1].split()[0])
+        assert largest >= 65520
+        assert len(masters) == 30
+        for name, value in masters.items():
+            assert np.isfinite(value).all(), name
+
+    def test_the_next_unscaled_step_trains_as_if_the_failed_steps_never_ran(self):
+        outcomes, masters, weights = self._train([1e7, 1e7, 1.0])
+        assert [type(outcome) for outcome in outcomes] == [Fp16RangeError, Fp16RangeError, float]
+        reference_outcomes, reference_masters, reference_weights = self._train([1.0])
+        assert outcomes[-1] == reference_outcomes[0]
+        for name in masters:
+            np.testing.assert_array_equal(masters[name], reference_masters[name], err_msg=name)
+            np.testing.assert_array_equal(weights[name], reference_weights[name], err_msg=name)
 
 
 class TestRuntimeConstruction:

@@ -8,12 +8,14 @@ import pytest
 from repro.runtime import (
     CPUAdam,
     Adam,
+    Fp16RangeError,
     HOST,
     NVME,
     OptimizerError,
     StorageError,
     StorageManager,
     Tensor,
+    round_fp16,
 )
 
 MB = 10**6
@@ -250,3 +252,128 @@ class TestCPUAdamGroups:
                 CPUAdam(params, manager, states_tier=HOST, groups=groups)
         finally:
             manager.close()
+
+
+def _fp16_cast(x):
+    """The reference: NumPy's round trip through float16."""
+    return x.astype(np.float16).astype(np.float32)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.uint32).view(np.float32)
+
+
+def _assert_rounds_as_the_cast(x):
+    got = round_fp16(x, "x")
+    assert got.dtype == np.float32 and got.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.uint32), _fp16_cast(x).view(np.uint32))
+
+
+TINY = np.float32(2.0**-24)  # fp16's subnormal spacing
+
+
+class TestRoundFp16:
+    """``round_fp16`` against ``astype(float16).astype(float32)``, bit for bit."""
+
+    def test_zeros_and_float32_subnormals(self):
+        # +-0, the smallest and largest float32 subnormals, and both signs.
+        x = _bits([0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF])
+        _assert_rounds_as_the_cast(x)
+        assert round_fp16(x, "x")[1].view(np.uint32) == 0x80000000  # -0 keeps its sign
+
+    def test_subnormal_ties_and_neighbours(self):
+        # Exact 2**-25 ties between every pair of subnormal grid points (so
+        # both parities), the grid points themselves and one float32 ulp
+        # either side of each.
+        k = np.arange(0, 1025, dtype=np.float32)
+        grid = k * TINY
+        ties = grid + TINY / 2
+        x = np.concatenate(
+            [grid, ties, np.nextafter(grid, np.float32(1)), np.nextafter(grid, np.float32(0)),
+             np.nextafter(ties, np.float32(1)), np.nextafter(ties, np.float32(0))]
+        ).astype(np.float32)
+        _assert_rounds_as_the_cast(np.concatenate([x, -x]))
+
+    def test_the_normal_boundary_and_the_top_of_the_range(self):
+        below_normal = np.nextafter(np.float32(2.0**-14), np.float32(0))
+        largest_below_overflow = np.nextafter(np.float32(65520), np.float32(0))
+        x = np.array(
+            [below_normal, 2.0**-14, np.nextafter(np.float32(2.0**-14), np.float32(1)),
+             2.0**-14 - TINY / 2, 65504, np.nextafter(np.float32(65504), np.float32(0)),
+             65504 + 8, 65504 + 16 - 2.0**-8, largest_below_overflow],
+            dtype=np.float32,
+        )
+        _assert_rounds_as_the_cast(np.concatenate([x, -x]))
+        assert round_fp16(largest_below_overflow, "x") == 65504
+
+    def test_normal_ties_round_to_even(self):
+        # Halfway between two fp16 neighbours in every binade, with an even
+        # and an odd lower neighbour, and one float32 ulp either side.
+        exponents = np.arange(-14, 16, dtype=np.float32)
+        mantissas = np.array([0, 1, 2, 3, 1021, 1022, 1023], dtype=np.float32)
+        scale = np.float32(2.0) ** exponents[:, None]
+        ties = ((1 + (mantissas + np.float32(0.5)) / 1024) * scale).ravel()
+        x = np.concatenate(
+            [ties, np.nextafter(ties, np.float32(np.inf)), np.nextafter(ties, np.float32(0))]
+        ).astype(np.float32)
+        x = x[x < 65520]  # the top binade's last tie is the overflow point
+        _assert_rounds_as_the_cast(np.concatenate([x, -x]))
+
+    def test_a_million_random_bit_patterns(self):
+        bits = np.random.default_rng(2024).integers(0, 2**32, size=10**6, dtype=np.uint32)
+        x = bits.view(np.float32)
+        fits = np.abs(x) < 65520
+        with np.errstate(over="ignore"):
+            # Exactly the patterns that NumPy's cast turns into inf or NaN
+            # are the ones the rounding refuses.
+            np.testing.assert_array_equal(fits, np.isfinite(_fp16_cast(x)))
+        _assert_rounds_as_the_cast(x[fits])
+
+    def test_keeps_the_shape_and_leaves_the_input_alone(self, rng):
+        x = (rng.normal(size=(3, 4, 5)) * 1e-5).astype(np.float32)
+        before = x.copy()
+        got = round_fp16(x, "x")
+        _assert_rounds_as_the_cast(x)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(got, x)
+
+    def test_rounds_in_place_into_out(self, rng):
+        x = (rng.normal(size=(7, 9)) * 1e-5).astype(np.float32)
+        want = _fp16_cast(x)
+        assert round_fp16(x, "x", out=x) is x
+        np.testing.assert_array_equal(x.view(np.uint32), want.view(np.uint32))
+
+    def test_a_failed_rounding_writes_nothing(self):
+        x = np.array([1e-6, 7e4, 0.3], dtype=np.float32)
+        before = x.copy()
+        with pytest.raises(Fp16RangeError):
+            round_fp16(x, "x", out=x)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize(
+        "bad, largest",
+        [
+            (65520.0, "65520"),
+            (-65520.0, "65520"),
+            (float(np.nextafter(np.float32(65520), np.float32(np.inf))), "65520"),
+            (np.inf, "inf"),
+            (-np.inf, "inf"),
+            (0x7FC00000, "nan"),  # quiet NaN
+            (0xFFC00001, "nan"),  # negative quiet NaN with a payload
+            (0x7F800001, "nan"),  # signalling NaN, smallest payload
+            (0x7FBFFFFF, "nan"),  # signalling NaN, largest payload
+        ],
+        ids=["65520", "-65520", "above-65520", "inf", "-inf", "qnan", "-qnan-payload",
+             "snan-low", "snan-high"],
+    )
+    def test_nan_and_overflow_raise_one_typed_line(self, bad, largest):
+        if isinstance(bad, int):
+            value = _bits([bad])[0]
+        else:
+            value = np.float32(bad)
+        x = np.array([1.0, value, -3.0], dtype=np.float32)
+        with pytest.raises(Fp16RangeError, match=f"largest magnitude {largest}") as info:
+            round_fp16(x, "gradient of group 'block2'")
+        assert isinstance(info.value, OptimizerError)
+        message = str(info.value)
+        assert "\n" not in message and "gradient of group 'block2'" in message

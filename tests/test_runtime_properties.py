@@ -5,7 +5,8 @@ shape, learning rate and checkpoint tier — not just the fixtures the
 unit tests pin down.  Hypothesis drives random (tiny) configurations
 through both execution modes and demands bit-identical parameters.
 So must the grouped CPU Adam: a runtime that updates a block's
-parameters at once trains exactly as one parameter at a time does.
+parameters at once trains exactly as one parameter at a time does, and
+the G16 each group hands it is NumPy's fp16 cast of its gradients.
 And so must the one-node transformer ops: ``linear`` and ``attention``
 against the primitive-op graphs they replaced, ``layer_norm`` and
 ``cross_entropy`` to within 1e-5 of a float64 reference.  Both sides
@@ -240,6 +241,71 @@ def test_grouped_updates_equal_per_parameter_updates(
             np.testing.assert_array_equal(states[name], alone.read_states(name), err_msg=name)
     finally:
         manager.close()
+
+
+@given(
+    kind=st.sampled_from(["gpt", "dit"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    layers=st.integers(min_value=1, max_value=3),
+    dim_heads=st.sampled_from([(8, 2), (16, 2), (16, 4)]),
+    batch=st.integers(min_value=1, max_value=3),
+    lr=st.floats(min_value=1e-4, max_value=5e-2),
+    tier=st.sampled_from([HOST, NVME]),
+    states_tier=st.sampled_from([HOST, NVME]),
+    mode=st.sampled_from(list(MODES)),
+    steps=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=16, deadline=None)
+def test_each_group_receives_numpys_fp16_cast_of_its_gradients(
+    kind, seed, layers, dim_heads, batch, lr, tier, states_tier, mode, steps
+):
+    """The G16 handed to ``CPUAdam.step_param`` is, bit for bit,
+    ``astype(float16).astype(float32)`` of the group's leaf gradients in
+    member order, in every mode and whenever the update applies."""
+    dim, heads = dim_heads
+    optimizer_mode, active = MODES[mode]
+    with ratel_init(
+        gpu_capacity=GB,
+        host_capacity=GB,
+        nvme_capacity=4 * GB,
+        checkpoint_tier=tier,
+        states_tier=states_tier,
+        active_offload=active,
+        optimizer_mode=optimizer_mode,
+    ):
+        model = _model(kind, seed, layers, dim, heads)
+        runtime = ratel_hook(model)
+        # Registered before the optimizer arms the runtime's handlers, so
+        # each fires first and sees the finished gradient.
+        produced: dict[str, list[np.ndarray]] = {}
+        for name, param in model.named_parameters():
+            param.register_hook(
+                lambda tensor, name=name: produced.setdefault(name, []).append(
+                    tensor.grad.copy()
+                )
+            )
+        adam = RatelOptimizer(model, runtime, lr=lr).cpu_adam
+        step_param = adam.step_param
+        handed = []
+
+        def checking_step_param(group, grad16):
+            # A member's gradients reach its group in the order produced.
+            leaf = np.concatenate(
+                [produced[name].pop(0).reshape(-1) for name in adam.groups[group]]
+            )
+            want = leaf.astype(np.float16).astype(np.float32)
+            np.testing.assert_array_equal(
+                grad16.reshape(-1).view(np.uint32), want.view(np.uint32), err_msg=group
+            )
+            handed.append(group)
+            return step_param(group, grad16)
+
+        adam.step_param = checking_step_param
+        for fn in _loss_fns(kind, model, seed, batch, steps):
+            runtime.train_step(fn)
+        runtime.flush_pending()
+    assert len(handed) == steps * len(adam.groups)
+    assert not any(produced.values())
 
 
 # -- one-node ops against the primitive-op graphs they replaced ------------------

@@ -367,6 +367,8 @@ class TestCrashResume:
 class TestGradientAccumulation:
     @staticmethod
     def _run(accumulate: bool, micro: int = 4):
+        """Weights after three steps, and every ``(group, leaf gradients,
+        G16)`` handed to ``CPUAdam.step_param``, in order."""
         loss_fn = CrossEntropyLoss()
         rng = np.random.default_rng(11)
         ids = rng.integers(0, VOCAB, size=(8, SEQ))
@@ -377,7 +379,23 @@ class TestGradientAccumulation:
         ):
             model = GPTModel(VOCAB, DIM, LAYERS, HEADS, SEQ, np.random.default_rng(4))
             runtime = ratel_hook(model)
-            RatelOptimizer(model, runtime, lr=1e-2)
+            # Fires before the runtime's handler; the last micro-batch's
+            # call sees the summed gradient the handler consumes.
+            latest = {}
+            for name, param in model.named_parameters():
+                param.register_hook(
+                    lambda tensor, name=name: latest.__setitem__(name, tensor.grad.copy())
+                )
+            adam = RatelOptimizer(model, runtime, lr=1e-2).cpu_adam
+            step_param = adam.step_param
+            handed = []
+
+            def recording_step_param(group, grad16):
+                leaf = np.concatenate([latest[name].reshape(-1) for name in adam.groups[group]])
+                handed.append((group, leaf, grad16.copy()))
+                return step_param(group, grad16)
+
+            adam.step_param = recording_step_param
             for _step in range(3):
                 if accumulate:
                     size = 8 // micro
@@ -390,11 +408,41 @@ class TestGradientAccumulation:
                     )
                 else:
                     runtime.train_step(lambda: loss_fn(model(ids), targets))
-            return {n: p.data.copy() for n, p in model.named_parameters()}
+            return {n: p.data.copy() for n, p in model.named_parameters()}, handed
 
     def test_accumulated_equals_full_batch(self):
-        full = self._run(accumulate=False)
-        accumulated = self._run(accumulate=True)
+        """Bit-equal fp16 weights rest on rounding, not on equal gradients.
+
+        The two paths' float32 gradients are not equal: a full batch sums
+        each parameter's gradient over all eight sequences at once, four
+        micro-batches over two each and then across micro-batches, so the
+        sums associate differently and differ in their last bits.  Rounded
+        to fp16 they mostly agree, but a few elements straddle a rounding
+        boundary and land one fp16 ulp apart (one of block0's at step 1,
+        four at step 3).  Adam's first step moves a weight by ``lr *
+        g / (|g| + eps)``, which one ulp of ``g`` does not change here;
+        later the master weights (P32) of one element after step 2 and of
+        four after step 3 differ, by 7-107 float32 ulps, and the fp16
+        copies (P16) round that away.  So the G16 handoff is checked
+        first: each path hands ``step_param`` NumPy's fp16 cast of its own
+        gradients, and the two casts lie within one fp16 ulp of each other;
+        a change to the rounding fails here, not as a weight mismatch.
+        """
+        full, full_handed = self._run(accumulate=False)
+        accumulated, accumulated_handed = self._run(accumulate=True)
+        assert [group for group, *_ in full_handed] == [group for group, *_ in accumulated_handed]
+        assert len(full_handed) == 3 * (LAYERS + 1)
+        for (group, full_leaf, full16), (_, accumulated_leaf, accumulated16) in zip(
+            full_handed, accumulated_handed, strict=True
+        ):
+            for leaf, grad16 in ((full_leaf, full16), (accumulated_leaf, accumulated16)):
+                cast = leaf.astype(np.float16).astype(np.float32)
+                np.testing.assert_array_equal(
+                    grad16.view(np.uint32), cast.view(np.uint32), err_msg=group
+                )
+            larger = np.maximum(np.abs(full16), np.abs(accumulated16)).astype(np.float16)
+            ulp = np.spacing(larger).astype(np.float32)
+            assert (np.abs(full16 - accumulated16) <= ulp).all(), group
         for name in full:
             np.testing.assert_array_equal(full[name], accumulated[name])
 
