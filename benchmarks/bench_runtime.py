@@ -13,6 +13,14 @@ tier-link lanes), the CPU-Adam updates per step (spans on
 ``rt_cpu_adam``) and the autograd nodes per step (``Tensor._make_node``
 calls that link a node, counted over the untimed warm-up steps).
 
+It also keeps the float32 gradients the last warm-up step hands
+:func:`~repro.runtime.round_fp16` (one array per optimizer group) and
+records the share of their elements in fp16's subnormal range (0 <
+|x| < 2**-14, where NumPy's float32 -> float16 cast is slow), and the
+milliseconds per step, minimum over ROUNDING_REPEATS passes, of
+``round_fp16`` and of NumPy's ``astype(float16).astype(float32)`` over
+the same arrays.
+
 Lanes nest, so they do not add up to ``rt_step``: a tier move's lane
 includes the spill or load it runs on ``rt_ssd``, and ``rt_cpu_adam``
 includes the moves of the group's states.  Results land in
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import os
 import platform
+import time
 
 import numpy as np
 import pytest
@@ -40,12 +49,15 @@ from repro.runtime import (
     Tensor,
     ratel_hook,
     ratel_init,
+    round_fp16,
 )
+from repro.runtime import offload
 
 from conftest import write_bench_json
 
 GB = 1e9
 WARMUP, STEPS = 2, 5
+ROUNDING_REPEATS = 50
 LINK_LANES = {
     link_lane(source, dest)
     for source in (GPU, HOST, NVME)
@@ -74,6 +86,31 @@ def _counting_nodes(built: list):
     return counting
 
 
+def _capturing_rounding(arrays: list):
+    """``round_fp16`` that appends a copy of each input to ``arrays``."""
+
+    def capturing(x, what, out=None):
+        arrays.append(x.copy())
+        return round_fp16(x, what, out=out)
+
+    return capturing
+
+
+def _min_ms(fn, arrays: list) -> float:
+    """Fastest of ROUNDING_REPEATS passes of ``fn`` over ``arrays``, in ms."""
+    best = float("inf")
+    for _ in range(ROUNDING_REPEATS):
+        started = time.perf_counter()
+        for array in arrays:
+            fn(array)
+        best = min(best, time.perf_counter() - started)
+    return best * 1e3
+
+
+def _numpy_cast(x: np.ndarray) -> np.ndarray:
+    return x.astype(np.float16).astype(np.float32)
+
+
 @pytest.mark.bench_smoke
 def test_runtime_train_step(monkeypatch):
     rng = np.random.default_rng(0)
@@ -94,8 +131,10 @@ def test_runtime_train_step(monkeypatch):
         nodes = set()
         for _ in range(WARMUP):
             built: list = []
+            gradients: list = []
             with monkeypatch.context() as patch:
                 patch.setattr(Tensor, "_make_node", _counting_nodes(built))
+                patch.setattr(offload, "round_fp16", _capturing_rounding(gradients))
                 step()
             nodes.add(len(built))
         for _ in range(STEPS):
@@ -110,6 +149,20 @@ def test_runtime_train_step(monkeypatch):
     assert len(moves) == 1, f"moves per step differ between steps: {sorted(moves)}"
     assert len(adam_updates) == 1, f"Adam updates differ between steps: {sorted(adam_updates)}"
     assert len(nodes) == 1, f"autograd nodes differ between steps: {sorted(nodes)}"
+    assert {len(gradients)} == adam_updates, "one rounded gradient per group update"
+    for array in gradients:
+        np.testing.assert_array_equal(
+            round_fp16(array, "gradient").view(np.uint32), _numpy_cast(array).view(np.uint32)
+        )
+    flat = np.concatenate(gradients)
+    magnitude = np.abs(flat)
+    rounding = {
+        "gradient_elements_per_step": int(flat.size),
+        "subnormal_share": float(np.mean((magnitude > 0) & (magnitude < 2.0**-14))),
+        "round_fp16_ms_per_step": _min_ms(lambda x: round_fp16(x, "gradient"), gradients),
+        "numpy_cast_ms_per_step": _min_ms(_numpy_cast, gradients),
+        "repeats": ROUNDING_REPEATS,
+    }
     write_bench_json(
         "runtime",
         {
@@ -118,9 +171,16 @@ def test_runtime_train_step(monkeypatch):
             "moves_per_step": moves.pop(),
             "adam_updates_per_step": adam_updates.pop(),
             "autograd_nodes_per_step": nodes.pop(),
+            "fp16_rounding": rounding,
         },
     )
     print(
         "\ntrain step busy ms: "
         + ", ".join(f"{lane} {ms:.1f}" for lane, ms in sorted(busy_ms.items()))
+    )
+    print(
+        f"fp16 rounding of {rounding['gradient_elements_per_step']} gradient elements per "
+        f"step ({rounding['subnormal_share']:.1%} subnormal): round_fp16 "
+        f"{rounding['round_fp16_ms_per_step']:.3f} ms, NumPy's cast "
+        f"{rounding['numpy_cast_ms_per_step']:.3f} ms"
     )
