@@ -48,6 +48,24 @@ GPU_ADAM_FLOPS_PER_PARAM = 1.3
 STATE_READ_WINDOW = 2
 
 
+class _Labels(dict):
+    """Transfer labels by (kind, block index): ``_LABELS["fwd_b", 3] == "fwd_b3"``.
+
+    Every simulation labels its transfers with the same few hundred
+    strings, so the process keeps one of each instead of formatting one
+    per transfer.  Safe under concurrent simulations (the serve's worker
+    threads): ``setdefault`` keeps the first string stored for a key, and
+    a thread that loses the race formats an equal one.
+    """
+
+    def __missing__(self, key: tuple[str, int]) -> str:
+        kind, index = key
+        return self.setdefault(key, f"{kind}{index}")
+
+
+_LABELS = _Labels()
+
+
 @dataclass
 class IterationResult:
     """Timeline and metrics of one simulated iteration."""
@@ -123,7 +141,8 @@ class IterationResult:
     @property
     def gpu_busy_fraction(self) -> float:
         """Fraction of the iteration the GPU executes kernels (Fig. 2b)."""
-        return self.trace.busy_time("gpu0", 0.0, self.iteration_time) / self.iteration_time
+        iteration_time = self.iteration_time
+        return self.trace.busy_time("gpu0", 0.0, iteration_time) / iteration_time
 
     @property
     def optimizer_fraction(self) -> float:
@@ -302,13 +321,13 @@ class _IterationRun:
         def prefetcher():
             for block in self.schedule.blocks:
                 yield window.acquire()
-                yield from self._fetch_params(block, "fwd_p16")
+                yield from self._fetch_params(block, "fwd_p16_ssd_b", "fwd_p16_b")
                 ready[block.index].succeed()
 
         def compute():
             for block in self.schedule.blocks:
                 yield ready[block.index]
-                yield self.gpu.use(block.fwd_flops, f"fwd_b{block.index}", self._gpu_eff)
+                yield self.gpu.use(block.fwd_flops, _LABELS["fwd_b", block.index], self._gpu_eff)
                 if self.schedule.sync_overhead_per_block > 0:
                     yield self.sim.timeout(self.schedule.sync_overhead_per_block)
                 window.release()
@@ -327,19 +346,19 @@ class _IterationRun:
 
     def _offload_acts(self, block: BlockTask):
         """Drain one block's swapped activations: GPU -> main -> (SSD)."""
-        yield self._g2m(block.act_swapped, f"act_out_b{block.index}")
+        yield self._g2m(block.act_swapped, _LABELS["act_out_b", block.index])
         if block.act_to_ssd > 0:
-            yield self._ssd_write(block.act_to_ssd, f"act_spill_b{block.index}")
+            yield self._ssd_write(block.act_to_ssd, _LABELS["act_spill_b", block.index])
 
-    def _fetch_params(self, block: BlockTask, label: str):
-        """Bring one block's fp16 parameters to the GPU."""
+    def _fetch_params(self, block: BlockTask, ssd_kind: str, pcie_kind: str):
+        """Bring one block's fp16 parameters to the GPU (labels by kind)."""
         if block.p16_bytes <= 0:
             return
         if self.schedule.states_location is StatesLocation.GPU:
             return
         if self.schedule.states_location is StatesLocation.SSD and self.state_reads_from_ssd:
-            yield self._ssd_read(block.p16_bytes, f"{label}_ssd_b{block.index}")
-        yield self._m2g(block.p16_bytes, f"{label}_b{block.index}")
+            yield self._ssd_read(block.p16_bytes, _LABELS[ssd_kind, block.index])
+        yield self._m2g(block.p16_bytes, _LABELS[pcie_kind, block.index])
 
     # -- backward ----------------------------------------------------------------
 
@@ -349,10 +368,10 @@ class _IterationRun:
         for block in reversed(self.schedule.blocks):
             yield window.acquire()
             if block.act_to_ssd > 0:
-                yield self._ssd_read(block.act_to_ssd, f"act_back_ssd_b{block.index}")
-            yield from self._fetch_params(block, "bwd_p16")
+                yield self._ssd_read(block.act_to_ssd, _LABELS["act_back_ssd_b", block.index])
+            yield from self._fetch_params(block, "bwd_p16_ssd_b", "bwd_p16_b")
             if block.act_swapped > 0:
-                yield self._m2g(block.act_swapped, f"act_back_b{block.index}")
+                yield self._m2g(block.act_swapped, _LABELS["act_back_b", block.index])
             self._bwd_ready[block.index].succeed()
 
     def _backward_compute(self):
@@ -371,7 +390,7 @@ class _IterationRun:
                 # slice updates synchronously on the GPU, right after the
                 # block's backward produced its gradient.
                 flops += GPU_ADAM_FLOPS_PER_PARAM * critical * block.opt_params
-            yield self.gpu.use(flops, f"bwd_b{block.index}", self._gpu_eff)
+            yield self.gpu.use(flops, _LABELS["bwd_b", block.index], self._gpu_eff)
             if self.schedule.sync_overhead_per_block > 0:
                 yield self.sim.timeout(self.schedule.sync_overhead_per_block)
             self._bwd_window.release()
@@ -384,7 +403,7 @@ class _IterationRun:
 
     def _offload_grad(self, block: BlockTask):
         """Move one block's G16 to main memory; signals the optimizer."""
-        yield self._g2m(block.grad_bytes, f"grad_b{block.index}")
+        yield self._g2m(block.grad_bytes, _LABELS["grad_b", block.index])
         self.grad_arrived[block.index].succeed()
 
     # -- optimizer -----------------------------------------------------------------
@@ -433,7 +452,7 @@ class _IterationRun:
                 yield window.acquire()
                 if on_ssd:
                     yield self._ssd_read(
-                        scale * block.state_read_bytes, f"opt_read_b{block.index}"
+                        scale * block.state_read_bytes, _LABELS["opt_read_b", block.index]
                     )
                 self.states_ready[block.index].succeed()
 
@@ -447,7 +466,7 @@ class _IterationRun:
                     waits.append(self.grad_arrived[block.index])
                 yield self.sim.all_of(waits)
                 yield self.cpu_adam.use(
-                    scale * block.opt_params, f"adam_b{block.index}"
+                    scale * block.opt_params, _LABELS["adam_b", block.index]
                 )
                 window.release()
                 self.updated[block.index].succeed()
@@ -459,7 +478,7 @@ class _IterationRun:
                 yield self.updated[block.index]
                 if on_ssd:
                     yield self._ssd_write(
-                        scale * block.state_write_bytes, f"opt_write_b{block.index}"
+                        scale * block.state_write_bytes, _LABELS["opt_write_b", block.index]
                     )
 
         return [
@@ -477,10 +496,10 @@ class _IterationRun:
             if wait_grads:
                 yield self.grad_arrived[block.index]
             if on_ssd:
-                yield self._ssd_read(block.state_read_bytes, f"opt_read_b{block.index}")
-            yield self.cpu_adam.use(block.opt_params, f"adam_b{block.index}")
+                yield self._ssd_read(block.state_read_bytes, _LABELS["opt_read_b", block.index])
+            yield self.cpu_adam.use(block.opt_params, _LABELS["adam_b", block.index])
             if on_ssd:
-                yield self._ssd_write(block.state_write_bytes, f"opt_write_b{block.index}")
+                yield self._ssd_write(block.state_write_bytes, _LABELS["opt_write_b", block.index])
 
     def _optimizer_gpu(self):
         """G10/FlashNeuron: Adam on the GPU, states streamed when offloaded.
@@ -497,17 +516,21 @@ class _IterationRun:
         def per_block(block: BlockTask):
             if not resident:
                 if on_ssd:
-                    yield self._ssd_read(block.state_read_bytes, f"opt_read_b{block.index}")
-                yield self._m2g(block.state_read_bytes, f"opt_in_b{block.index}")
+                    yield self._ssd_read(
+                        block.state_read_bytes, _LABELS["opt_read_b", block.index]
+                    )
+                yield self._m2g(block.state_read_bytes, _LABELS["opt_in_b", block.index])
             yield self.gpu.use(
                 GPU_ADAM_FLOPS_PER_PARAM * max(block.opt_params, self._resident_params(block)),
-                f"opt_gpu_b{block.index}",
+                _LABELS["opt_gpu_b", block.index],
                 self._gpu_eff,
             )
             if not resident:
-                yield self._g2m(block.state_write_bytes, f"opt_out_b{block.index}")
+                yield self._g2m(block.state_write_bytes, _LABELS["opt_out_b", block.index])
                 if on_ssd:
-                    yield self._ssd_write(block.state_write_bytes, f"opt_write_b{block.index}")
+                    yield self._ssd_write(
+                        block.state_write_bytes, _LABELS["opt_write_b", block.index]
+                    )
 
         for block in reversed(self.schedule.blocks):
             if block.opt_params <= 0 and not resident:

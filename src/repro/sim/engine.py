@@ -14,21 +14,29 @@ golden corpus in ``tests/golden/des_results.json`` and the oracle
 property in ``tests/test_sim_oracle.py`` pin it.
 
 Hot path: a simulated iteration dispatches a few thousand callbacks, so
-the kernel pushes heap entries inline rather than through a helper,
-timeouts schedule their own bound ``succeed``, and processes keep their
-bound ``_resume`` and ``generator.send``.  A callback that would be the
-very next one popped runs in place instead of being pushed.  That is
-the case when no other heap entry is due at the current time (the heap
-is empty or its head is later than ``now``).  Then a process keeps
+the kernel schedules inline rather than through a helper, timeouts
+schedule their own bound ``succeed``, and processes keep their bound
+``_resume`` and ``generator.send``.  Callbacks due at the current time
+go to a FIFO ``deque`` beside the heap; the heap keeps only entries due
+later.  The loop runs the heap's entries due at ``now`` first (they
+were scheduled before time reached ``now``, so their sequence numbers
+are lower), then the FIFO, and only then advances time: the same
+``(time, seq)`` order, without a heap push and pop for same-time work.
+A delay that rounds away (``now + d == now`` for a tiny ``d > 0``)
+joins the FIFO too, since a heap entry at ``now`` would jump the queue.
+A callback that would be the very next one run runs in place instead of
+being queued: that is the case when the FIFO is empty (no heap entry is
+ever due at ``now`` while a callback runs).  Then a process keeps
 sending while the event it yielded has already triggered, and a
 :class:`~repro.sim.resources.RateChannel` starts an idle lane's request,
-or finishes a completed one, without a heap entry.  Such a callback runs
-exactly where the heap would have run it, so no order changes; it only
-skips the push, the pop and the event hook.
+or finishes a completed one, without queueing.  Such a callback runs
+exactly where the loop would have run it, so no order changes; it only
+skips the queueing and the event hook.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
 from typing import Any, Callable
@@ -65,23 +73,16 @@ class Event:
         self.value = value
         callbacks = self._callbacks
         if callbacks:
-            sim = self.sim
-            heap = sim._heap
-            now = sim.now
-            seq = sim._seq
+            append = self.sim._ready.append
             for callback in callbacks:
-                heappush(heap, (now, seq, callback, self))
-                seq += 1
-            sim._seq = seq
+                append((callback, self))
             callbacks.clear()
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event triggers (or now if it has)."""
         if self.triggered:
-            sim = self.sim
-            heappush(sim._heap, (sim.now, sim._seq, callback, self))
-            sim._seq += 1
+            self.sim._ready.append((callback, self))
         else:
             self._callbacks.append(callback)
 
@@ -98,8 +99,12 @@ class Timeout(Event):
         self._callbacks = []
         self.triggered = False
         self.value = None
-        heappush(sim._heap, (sim.now + delay, sim._seq, self.succeed, None))
-        sim._seq += 1
+        time = sim.now + delay
+        if time > sim.now:
+            heappush(sim._heap, (time, sim._seq, self.succeed, None))
+            sim._seq += 1
+        else:  # zero, or rounded away: due now, behind what is queued
+            sim._ready.append((self.succeed, None))
 
 
 class AllOf(Event):
@@ -146,14 +151,12 @@ class Process(Event):
         self.triggered = False
         self.value = None
         self._send = generator.send
-        self._wake = wake = self._resume
-        heappush(sim._heap, (sim.now, sim._seq, wake, _START))
-        sim._seq += 1
+        self._wake = self._resume
+        sim._ready.append((self._wake, _START))
 
     def _resume(self, event: Any) -> None:
         # Sending None to a fresh generator starts it, like next().
-        sim = self.sim
-        heap = sim._heap
+        ready = self.sim._ready
         value = event.value
         while True:
             try:
@@ -168,11 +171,9 @@ class Process(Event):
             if not target.triggered:
                 target._callbacks.append(self._wake)
                 return
-            now = sim.now
-            if heap and heap[0][0] <= now:
+            if ready:
                 # Another callback is due first: queue behind it.
-                heappush(heap, (now, sim._seq, self._wake, target))
-                sim._seq += 1
+                ready.append((self._wake, target))
                 return
             value = target.value
 
@@ -222,7 +223,7 @@ def event_kind(callback: Callable[[Any], None]) -> str:
 
 
 class Simulator:
-    """The event loop: a time-ordered heap of callbacks.
+    """The event loop: a time-ordered heap of callbacks plus a same-time FIFO.
 
     Typical use::
 
@@ -239,8 +240,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
+        #: Entries due after ``now``: ``(time, seq, callback, arg)``.
         self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        #: Heap entries made so far; the tie-break among equal times.
         self._seq = 0
+        #: Callbacks due at ``now``, in the order they were scheduled.
+        self._ready: deque[tuple[Callable[[Any], None], Any]] = deque()
 
     def timeout(self, delay: float) -> Timeout:
         """An event triggering ``delay`` seconds from now."""
@@ -259,17 +264,25 @@ class Simulator:
         return AllOf(self, events)
 
     def run(self) -> float:
-        """Process events until the heap is empty; returns the final time."""
+        """Process events until none is left; returns the final time."""
         heap = self._heap
-        now = self.now
-        while heap:
-            time, _seq, callback, arg = heappop(heap)
-            if time > now:
-                self.now = now = time
-            elif time < now - 1e-12:
-                raise SimulationError("event scheduled in the past")
+        ready = self._ready
+        popleft = ready.popleft
+        append = ready.append
+        while True:
+            if ready:
+                callback, arg = popleft()
+            elif heap:
+                # Time advances: the heap's entries due then keep their
+                # seq order, ahead of whatever their callbacks queue.
+                time, _seq, callback, arg = heappop(heap)
+                self.now = time
+                while heap and heap[0][0] <= time:
+                    _time, _seq, later, later_arg = heappop(heap)
+                    append((later, later_arg))
+            else:
+                return self.now
             if _event_hook is None:
                 callback(arg)
             else:
                 _event_hook(callback, arg)
-        return self.now

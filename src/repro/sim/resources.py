@@ -91,13 +91,13 @@ class RateChannel:
     their own rates.  A zero rate means no working device is left behind
     the channel, so a transfer on it raises ``RuntimeError``.
 
-    Two steps run in place when they would be the next callback popped
+    Two steps run in place when they would be the next callback run
     (see :mod:`repro.sim.engine`): a request on an idle channel starts
-    at once when no other heap entry is due, and a completion finishes,
+    at once when nothing else is due now, and a completion finishes,
     and resumes its requester, at once under the same condition.
-    Otherwise each is pushed at the current time, behind the callbacks
-    already due, so queued requests, faults and processes interleave in
-    the same ``(time, seq)`` order either way.
+    Otherwise each joins the simulator's same-time FIFO, behind the
+    callbacks already due, so queued requests, faults and processes
+    interleave in the same ``(time, seq)`` order either way.
     """
 
     def __init__(
@@ -158,7 +158,18 @@ class RateChannel:
             )
         if not 0 < efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-        return self._enqueue((Event(self.sim), amount, label, efficiency, write))
+        # ``_enqueue`` inlined: every transfer of a simulation comes here.
+        sim = self.sim
+        event = Event(sim)
+        queue = self._queue
+        queue.append((event, amount, label, efficiency, write))
+        if len(queue) == 1:
+            ready = sim._ready
+            if ready:
+                ready.append((self._start, event))
+            else:
+                self._start(event)
+        return event
 
     def hold(self, duration: float) -> Event:
         """Hold the channel for ``duration`` seconds; the event's value is the hold's start.
@@ -173,15 +184,14 @@ class RateChannel:
         return self._enqueue((Event(self.sim), duration, None, 1.0, False))
 
     def _enqueue(self, request: _Request) -> Event:
+        """Queue ``request``; on an idle channel, start it (in place if next)."""
         queue = self._queue
         queue.append(request)
         event = request[0]
         if len(queue) == 1:
-            sim = self.sim
-            heap = sim._heap
-            if heap and heap[0][0] <= sim.now:
-                heappush(heap, (sim.now, sim._seq, self._start, event))
-                sim._seq += 1
+            ready = self.sim._ready
+            if ready:
+                ready.append((self._start, event))
             else:
                 self._start(event)
         return event
@@ -211,16 +221,18 @@ class RateChannel:
                     f"transfer of {amount} on {self.name!r} would never end at the "
                     "current rate"
                 )
-        heappush(sim._heap, (now + duration, sim._seq, self._complete, event))
-        sim._seq += 1
+        end = now + duration
+        if end > now:
+            heappush(sim._heap, (end, sim._seq, self._complete, event))
+            sim._seq += 1
+        else:  # rounded away: complete now, behind what is queued
+            sim._ready.append((self._complete, event))
 
     def _complete(self, event: Event) -> None:
         """The head request's time is up: finish it now, or after what is due."""
-        sim = self.sim
-        heap = sim._heap
-        if heap and heap[0][0] <= sim.now:
-            heappush(heap, (sim.now, sim._seq, self._finish, event))
-            sim._seq += 1
+        ready = self.sim._ready
+        if ready:
+            ready.append((self._finish, event))
         else:
             self._finish(event)
 
@@ -236,8 +248,7 @@ class RateChannel:
             self.trace.record(self.name, label, self._started, now, amount)
             value = now
         if queue:
-            heappush(sim._heap, (now, sim._seq, self._start, queue[0][0]))
-            sim._seq += 1
+            sim._ready.append((self._start, queue[0][0]))
         event.triggered = True
         event.value = value
         callbacks = event._callbacks
