@@ -209,13 +209,14 @@ def attribute(
     resource in the trace).
     """
     names = resources if resources is not None else trace.resources()
+    busy_table, unions = trace.busy_table(names, list(stage_windows.values()))
     stages: list[StageBreakdown] = []
-    for stage, (start, end) in stage_windows.items():
+    for column, (stage, (start, end)) in enumerate(stage_windows.items()):
         span = end - start
-        any_busy = trace.union_busy_time(start, end, names)
+        any_busy = unions[column]
         rows: list[ResourceUsage] = []
-        for resource in names:
-            busy = trace.busy_time(resource, start, end)
+        for resource, busy_row in zip(names, busy_table):
+            busy = busy_row[column]
             rows.append(
                 ResourceUsage(
                     resource=resource,
