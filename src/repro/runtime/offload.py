@@ -48,6 +48,8 @@ The ``optimizer_mode`` axis relaxes the synchronous barrier (the
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -118,6 +120,9 @@ class RatelRuntime:
         #: order, and the float32 buffer an incomplete group fills.
         self._landed: dict[str, list[str]] = {}
         self._grad_buffers: dict[str, np.ndarray] = {}
+        #: Boundaries a checkpointed forward stored and whose backward has
+        #: not dropped them yet: name -> (step, record).
+        self._open_boundaries: dict[str, tuple[int, st.StoredTensor]] = {}
         #: Optimizer groups read by each block / outside every block.
         self._block_groups: dict[int, tuple[str, ...]] = {}
         self._nonblock_groups: tuple[str, ...] = ()
@@ -232,15 +237,30 @@ class RatelRuntime:
         for hook in self._step_hooks:
             hook(self)
 
-    def _begin_step(self) -> None:
-        """The prologue every step variant shares (stamps :attr:`step_started`)."""
+    @contextmanager
+    def _stepping(self) -> Iterator[None]:
+        """One step of any variant: the shared prologue, and the cleanup
+        when the step fails.
+
+        A step that raises (an fp16 overflow mid-backward, a failing
+        ``loss_fn``) drops the boundaries it stored whose backward never
+        ran, so the storage tiers hold what they held before the step.
+        """
         self.step_started = time.perf_counter()
         self.step += 1
         self.update_order.clear()
         self._landed.clear()
         self._grad_buffers.clear()
         self.model.zero_grad()
-        self._apply_overlap_updates(self._nonblock_groups, "head")
+        try:
+            self._apply_overlap_updates(self._nonblock_groups, "head")
+            yield
+        except BaseException:
+            for name, (step, stored) in list(self._open_boundaries.items()):
+                if step == self.step:
+                    del self._open_boundaries[name]
+                    self.manager.drop(stored)
+            raise
 
     def train_step(self, loss_fn: Callable[[], Tensor]) -> float:
         """Run one iteration: forward + backward (+ optimizer, per mode).
@@ -250,20 +270,20 @@ class RatelRuntime:
         :func:`repro.obs.observe` block the step is recorded as spans
         (one ``rt_step`` slice, forward/backward stage windows).
         """
-        self._begin_step()
-        rec = _spans.recorder()
-        if rec is None:
-            loss = loss_fn()
-            loss.backward()
-            self._finish_step()
-            return float(loss.data)
-        with rec.span(_spans.RT_STEP, f"train_step_s{self.step}"):
-            with rec.stage(f"forward_s{self.step}"):
+        with self._stepping():
+            rec = _spans.recorder()
+            if rec is None:
                 loss = loss_fn()
-            with rec.stage(f"backward_s{self.step}"):
                 loss.backward()
                 self._finish_step()
-        return float(loss.data)
+                return float(loss.data)
+            with rec.span(_spans.RT_STEP, f"train_step_s{self.step}"):
+                with rec.stage(f"forward_s{self.step}"):
+                    loss = loss_fn()
+                with rec.stage(f"backward_s{self.step}"):
+                    loss.backward()
+                    self._finish_step()
+            return float(loss.data)
 
     def _finish_step(self) -> None:
         """The post-backward epilogue shared by every step variant."""
@@ -301,17 +321,20 @@ class RatelRuntime:
         """
         if not loss_fns:
             raise ValueError("need at least one micro-batch")
-        self._begin_step()
         total = 0.0
         scale = 1.0 / len(loss_fns)
-        with _spans.maybe_span(_spans.RT_STEP, f"train_step_accumulate_s{self.step}"):
-            for index, loss_fn in enumerate(loss_fns):
-                final = index == len(loss_fns) - 1
-                self._suppress_handlers = not final
-                loss = loss_fn() * scale
-                loss.backward()
-                total += float(loss.data)
-            self._suppress_handlers = False
+        with self._stepping(), _spans.maybe_span(
+            _spans.RT_STEP, f"train_step_accumulate_s{self.step}"
+        ):
+            try:
+                for index, loss_fn in enumerate(loss_fns):
+                    final = index == len(loss_fns) - 1
+                    self._suppress_handlers = not final
+                    loss = loss_fn() * scale
+                    loss.backward()
+                    total += float(loss.data)
+            finally:
+                self._suppress_handlers = False
             self._finish_step()
         return total
 
@@ -335,8 +358,9 @@ class RatelRuntime:
                 "update; construct the runtime with active_offload=False "
                 "(or clip per-parameter upstream)"
             )
-        self._begin_step()
-        with _spans.maybe_span(_spans.RT_STEP, f"train_step_clipped_s{self.step}"):
+        with self._stepping(), _spans.maybe_span(
+            _spans.RT_STEP, f"train_step_clipped_s{self.step}"
+        ):
             loss = loss_fn()
             loss.backward()
             norm = clip_gradients(list(self.model.named_parameters()), max_grad_norm)
@@ -381,6 +405,7 @@ class RatelRuntime:
 
         name = f"act_b{index}_s{self.step}"
         stored = self.manager.put(name, args[0].data, st.GPU, itemsize=2)
+        self._open_boundaries[name] = (self.step, stored)
         self.manager.move(stored, self.checkpoint_tier)
         extras = [
             (i, arg.data.copy()) for i, arg in enumerate(args)
@@ -397,6 +422,7 @@ class RatelRuntime:
             local_tensors[0] = Tensor(stored.data(), requires_grad=True)
             locals_[0] = local_tensors[0]
             self.manager.drop(stored)
+            del self._open_boundaries[name]
             for i, data in extras:
                 local_tensors[i] = Tensor(data, requires_grad=True)
                 locals_[i] = local_tensors[i]

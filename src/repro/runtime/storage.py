@@ -333,6 +333,10 @@ class StorageManager:
         """Total bytes moved over one directed link so far."""
         return self.moved_bytes[(source, dest)]
 
+    def names(self) -> list[str]:
+        """Every registered tensor's name, in registration order."""
+        return list(self._tensors)
+
     def get(self, name: str) -> StoredTensor:
         """Look up a registered tensor by name."""
         try:

@@ -493,6 +493,95 @@ class TestFp16Overflow:
         for name, value in masters.items():
             assert np.isfinite(value).all(), name
 
+    def test_a_failed_step_leaves_no_stored_boundary_behind(self):
+        """Block 0's boundary, whose backward never ran, used to stay in the
+        NVMe tier and its arena after each failed step (4,096 B each)."""
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, self.VOCAB, size=(self.BATCH, self.SEQ))
+        targets = np.roll(ids, -1, axis=1)
+        loss_fn = CrossEntropyLoss()
+        with ratel_init(
+            gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB,
+            checkpoint_tier=NVME, states_tier=NVME,
+        ) as context:
+            model = GPTModel(
+                self.VOCAB, self.DIM, self.LAYERS, self.HEADS, self.SEQ,
+                np.random.default_rng(5),
+            )
+            runtime = ratel_hook(model)
+            RatelOptimizer(model, runtime, lr=1e-3)
+            manager = context.manager
+
+            def held():
+                return manager.names(), {n: t.used_bytes for n, t in manager.tiers.items()}
+
+            before = held()
+            for _ in range(3):
+                with pytest.raises(Fp16RangeError):
+                    runtime.train_step(lambda: loss_fn(model(ids), targets) * 1e7)
+                assert held() == before
+            loss = runtime.train_step(lambda: loss_fn(model(ids), targets))
+            assert held() == before
+        (reference,), _masters, _weights = self._train([1.0])
+        assert loss == reference
+
+    def _step_after(self, variant: str, fail: bool):
+        """One clean ``variant`` step, after a failing one when ``fail``.
+
+        The failing step's ``loss_fn`` raises after the model's forward
+        stored every block boundary.  Returns the clean step's result and
+        the storage held before the failure, after it and at the end.
+        """
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, self.VOCAB, size=(self.BATCH, self.SEQ))
+        targets = np.roll(ids, -1, axis=1)
+        loss_fn = CrossEntropyLoss()
+
+        def loss():
+            return loss_fn(model(ids), targets)
+
+        def failing():
+            model(ids)
+            raise KeyError("loss_fn failed after the forward")
+
+        steps = {
+            "train_step": lambda fn: runtime.train_step(fn),
+            "train_step_accumulate": lambda fn: runtime.train_step_accumulate([loss, fn]),
+            "train_step_clipped": lambda fn: runtime.train_step_clipped(fn, 1.0),
+        }
+        with ratel_init(
+            gpu_capacity=GB, host_capacity=GB, nvme_capacity=4 * GB,
+            checkpoint_tier=NVME, states_tier=NVME,
+            active_offload=variant != "train_step_clipped",
+        ) as context:
+            model = GPTModel(
+                self.VOCAB, self.DIM, self.LAYERS, self.HEADS, self.SEQ,
+                np.random.default_rng(5),
+            )
+            runtime = ratel_hook(model)
+            RatelOptimizer(model, runtime, lr=1e-3)
+            manager = context.manager
+
+            def held():
+                return manager.names(), {n: t.used_bytes for n, t in manager.tiers.items()}
+
+            before = after_failure = held()
+            if fail:
+                with pytest.raises(KeyError):
+                    steps[variant](failing)
+                after_failure = held()
+            result = steps[variant](loss)
+            return result, before, after_failure, held()
+
+    @pytest.mark.parametrize(
+        "variant", ["train_step", "train_step_accumulate", "train_step_clipped"]
+    )
+    def test_every_step_variant_drops_what_a_failed_step_stored(self, variant):
+        result, before, after_failure, after = self._step_after(variant, fail=True)
+        assert after_failure == before
+        assert after == before
+        assert result == self._step_after(variant, fail=False)[0]
+
     def test_the_next_unscaled_step_trains_as_if_the_failed_steps_never_ran(self):
         outcomes, masters, weights = self._train([1e7, 1e7, 1.0])
         assert [type(outcome) for outcome in outcomes] == [Fp16RangeError, Fp16RangeError, float]
