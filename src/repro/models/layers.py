@@ -17,7 +17,8 @@ All sizes assume fp16 activations (2 bytes/element).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+
+from repro.util.cached import cached_value
 
 from .config import DiTConfig, TransformerConfig
 
@@ -58,12 +59,12 @@ class BlockProfile:
     forward_flops: float
     param_count: float
 
-    @cached_property
+    @cached_value
     def activation_bytes(self) -> float:
         """Total stored activation bytes for one block."""
         return sum(seg.nbytes for seg in self.segments)
 
-    @cached_property
+    @cached_value
     def boundary_bytes(self) -> float:
         """Bytes of the block-output (inter-block checkpoint) tensor."""
         return self.segments[-1].nbytes
