@@ -8,8 +8,9 @@ So must the grouped CPU Adam: a runtime that updates a block's
 parameters at once trains exactly as one parameter at a time does, and
 the G16 each group hands it is NumPy's fp16 cast of its gradients.
 And so must the one-node transformer ops: ``linear`` and ``attention``
-against the primitive-op graphs they replaced, ``layer_norm`` and
-``cross_entropy`` to within 1e-5 of a float64 reference.  Both sides
+against the primitive-op graphs they replaced, and ``layer_norm``,
+``cross_entropy``, ``attention`` and ``softmax`` to within 1e-5 of a
+float64 reference.  Both sides
 run in one process, so the checks hold on any BLAS build.
 """
 
@@ -460,4 +461,83 @@ def test_fused_ops_match_a_float64_reference(seed, batch, seq, width, scale, con
         want = reference_cross_entropy(logits, targets, grad)
         scales = [max(abs(want[0]), 1.0), float(grad) / targets.size]
     for got_value, want_value, unit in zip(got, want, scales, strict=True):
+        assert _relative_error(got_value, want_value, unit) <= 1e-5
+
+
+def reference_softmax(x, grad, axis=-1):
+    """Softmax along ``axis`` and its input gradient, in float64."""
+    x, grad = x.astype(np.float64), grad.astype(np.float64)
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    probs = exp / exp.sum(axis=axis, keepdims=True)
+    return [probs, probs * (grad - (grad * probs).sum(axis=axis, keepdims=True))]
+
+
+def reference_attention(qkv, n_heads, causal, grad):
+    """Output and the qkv gradient of ``Tensor.attention``, in float64."""
+    batch, seq, width = qkv.shape
+    head_dim = width // 3 // n_heads
+    scale = 1.0 / np.sqrt(head_dim)
+    parts = qkv.astype(np.float64).reshape(batch, seq, 3, n_heads, head_dim)
+    q, k, v = parts.transpose(2, 0, 3, 1, 4)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    if causal:
+        scores[..., np.triu(np.ones((seq, seq), dtype=bool), k=1)] = -np.inf
+    dcontext = grad.astype(np.float64).reshape(batch, seq, n_heads, head_dim)
+    dcontext = dcontext.transpose(0, 2, 1, 3)
+    probs, dscores = reference_softmax(scores, dcontext @ v.swapaxes(-1, -2))
+    dscores *= scale
+    dqkv = np.stack([dscores @ k, dscores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ dcontext])
+    context = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq, width // 3)
+    return [context, dqkv.transpose(1, 3, 0, 2, 4).reshape(batch, seq, width)]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    batch=st.integers(min_value=1, max_value=3),
+    seq=st.integers(min_value=1, max_value=9),
+    heads=st.integers(min_value=1, max_value=4),
+    head_dim=st.integers(min_value=1, max_value=8),
+    width=st.integers(min_value=1, max_value=48),
+    axis=st.sampled_from([0, 1, -1]),
+    scale=st.floats(min_value=0.1, max_value=2.0),
+    causal=st.booleans(),
+    op=st.sampled_from(["attention", "softmax"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_softmax_and_attention_match_a_float64_reference(
+    seed, batch, seq, heads, head_dim, width, axis, scale, causal, op
+):
+    """Outputs and input gradients within 1e-5 of float64.
+
+    Attention's output and packed qkv gradient are in units of the
+    reference's largest magnitude.  Its inputs are drawn with a standard
+    deviation up to 2, so scores spread up to 4: where a row saturates,
+    the q and k gradients are ``probs * (dprobs - dot)``, a cancellation
+    far below the value gradient, and float32's rounding of ``dprobs``
+    outweighs any formulation of the rest.
+
+    The softmax takes logits scaled up to 20 along ``axis``, ``causal``
+    masking them as attention's scores are; its input gradient is in
+    units of its bound, ``|upstream|`` (a saturated row's gradient is
+    that cancellation), and its output in units of the reference's
+    largest magnitude.
+    """
+    rng = np.random.default_rng(seed)
+    if op == "attention":
+        dim = heads * head_dim
+        qkv = (rng.normal(size=(batch, seq, 3 * dim)) * scale).astype(np.float32)
+        grad = rng.normal(size=(batch, seq, dim)).astype(np.float32)
+        got = _run(lambda x: x.attention(heads, causal), [qkv], grad)
+        want = reference_attention(qkv, heads, causal, grad)
+        units = [float(np.max(np.abs(value))) for value in want]
+    else:
+        logits = rng.normal(size=(batch, seq, width)) * (10.0 * scale)
+        if causal:
+            logits += np.triu(np.full((seq, width), -1e9), k=1)
+        logits = logits.astype(np.float32)
+        grad = rng.normal(size=logits.shape).astype(np.float32)
+        got = _run(lambda x: x.softmax(axis), [logits], grad)
+        want = reference_softmax(logits, grad, axis)
+        units = [float(np.max(want[0])), float(np.max(np.abs(grad)))]
+    for got_value, want_value, unit in zip(got, want, units, strict=True):
         assert _relative_error(got_value, want_value, unit) <= 1e-5
