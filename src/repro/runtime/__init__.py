@@ -64,7 +64,7 @@ from .storage import (
     Tier,
     TierCapacityError,
 )
-from .tensor import AutogradError, Tensor, is_grad_enabled, no_grad
+from .tensor import AutogradError, IndexRangeError, Tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "RatelAPIError",
@@ -122,6 +122,7 @@ __all__ = [
     "Tier",
     "TierCapacityError",
     "AutogradError",
+    "IndexRangeError",
     "Tensor",
     "is_grad_enabled",
     "no_grad",

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import IndexRangeError, Tensor
 
 
 class Module:
@@ -185,7 +185,9 @@ class GPTModel(Module):
         self.head = Linear(dim, vocab_size, rng)
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        seq = ids.shape[1]
+        seq, positions = ids.shape[1], self.pos_emb.shape[0]
+        if seq > positions:
+            raise IndexRangeError(f"sequence length {seq} is outside [0, {positions}]")
         x = self.token_emb(ids) + self.pos_emb[:seq]
         for block in self.blocks:
             x = block(x)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from repro.runtime import (
     CrossEntropyLoss,
     DiTModel,
     GPTModel,
+    IndexRangeError,
     Tensor,
     denoising_loss,
     is_grad_enabled,
@@ -361,3 +364,52 @@ class TestFusedOps:
             assert float(loss.data) == expected
             assert np.isfinite(tensor.grad).all()
             assert tensor.grad[0, 0, target] == (-1.0 if target == 0 else 0.0)
+
+
+class TestIndexChecks:
+    """A bad index raises one typed, one-line error naming it and the
+    valid range, instead of a wrapped row or a bare NumPy error."""
+
+    @staticmethod
+    def raises(call, message):
+        with pytest.raises(IndexRangeError, match=re.escape(message)) as caught:
+            call()
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize("target", [-1, 5])
+    def test_cross_entropy_target_outside_the_classes(self, target):
+        logits = Tensor(np.zeros((1, 2, 5), dtype=np.float32), requires_grad=True)
+        self.raises(
+            lambda: logits.cross_entropy(np.array([[0, target]])),
+            f"target {target} is outside [0, 4]",
+        )
+
+    def test_cross_entropy_float_targets(self):
+        logits = Tensor(np.zeros((1, 2, 5), dtype=np.float32))
+        self.raises(
+            lambda: logits.cross_entropy(np.array([[0.0, 1.0]])),
+            "targets must be integers in [0, 4], got float64",
+        )
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_embedding_id_outside_the_table(self, index):
+        table = Tensor(np.zeros((4, 3), dtype=np.float32), requires_grad=True)
+        self.raises(
+            lambda: table.embedding(np.array([1, index])), f"embedding id {index} is outside [0, 3]"
+        )
+
+    def test_gpt_rejects_a_negative_token_id(self, rng):
+        model = GPTModel(10, 8, 1, 2, 6, rng)
+        self.raises(lambda: model(np.array([[1, -2, 3]])), "embedding id -2 is outside [0, 9]")
+
+    def test_gpt_rejects_more_tokens_than_positions(self, rng):
+        model = GPTModel(10, 8, 1, 2, 6, rng)
+        self.raises(
+            lambda: model(np.zeros((1, 7), dtype=np.int64)), "sequence length 7 is outside [0, 6]"
+        )
+
+    def test_first_and_last_rows_pass(self, rng):
+        model = GPTModel(10, 8, 1, 2, 6, rng)
+        ids = np.array([[0, 9, 0, 9, 0, 9]])
+        loss = CrossEntropyLoss()(model(ids), ids)
+        assert np.isfinite(float(loss.data))
