@@ -17,9 +17,14 @@ It also keeps the float32 gradients the last warm-up step hands
 :func:`~repro.runtime.round_fp16` (one array per optimizer group) and
 records the share of their elements in fp16's subnormal range (0 <
 |x| < 2**-14, where NumPy's float32 -> float16 cast is slow), and the
-milliseconds per step, minimum over ROUNDING_REPEATS passes, of
-``round_fp16`` and of NumPy's ``astype(float16).astype(float32)`` over
-the same arrays.
+milliseconds per step, minimum over REPEATS passes, of ``round_fp16``
+and of NumPy's ``astype(float16).astype(float32)`` over the same
+arrays.  Likewise it keeps the arrays the last warm-up step reduces
+over their last axis (softmax, LayerNorm and cross-entropy rows) and
+records their count, the milliseconds per step of NumPy's
+``sum(axis=-1)`` and of the runtime's product with ones over them, and
+each one's largest deviation from a float64 sum, in units of the row's
+sum of magnitudes (the scale float32 rounding error grows with).
 
 Lanes nest, so they do not add up to ``rt_step``: a tier move's lane
 includes the spill or load it runs on ``rt_ssd``, and ``rt_cpu_adam``
@@ -51,13 +56,13 @@ from repro.runtime import (
     ratel_init,
     round_fp16,
 )
-from repro.runtime import offload
+from repro.runtime import offload, tensor
 
 from conftest import write_bench_json
 
 GB = 1e9
 WARMUP, STEPS = 2, 5
-ROUNDING_REPEATS = 50
+REPEATS = 50
 LINK_LANES = {
     link_lane(source, dest)
     for source in (GPU, HOST, NVME)
@@ -96,10 +101,21 @@ def _capturing_rounding(arrays: list):
     return capturing
 
 
+def _capturing_row_sums(arrays: list):
+    """``tensor._row_sum`` that appends a copy of each input to ``arrays``."""
+    row_sum = tensor._row_sum
+
+    def capturing(x):
+        arrays.append(x.copy())
+        return row_sum(x)
+
+    return capturing
+
+
 def _min_ms(fn, arrays: list) -> float:
-    """Fastest of ROUNDING_REPEATS passes of ``fn`` over ``arrays``, in ms."""
+    """Fastest of REPEATS passes of ``fn`` over ``arrays``, in ms."""
     best = float("inf")
-    for _ in range(ROUNDING_REPEATS):
+    for _ in range(REPEATS):
         started = time.perf_counter()
         for array in arrays:
             fn(array)
@@ -109,6 +125,21 @@ def _min_ms(fn, arrays: list) -> float:
 
 def _numpy_cast(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float16).astype(np.float32)
+
+
+def _numpy_row_sum(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=-1, keepdims=True)
+
+
+def _row_sum_error(fn, arrays: list) -> float:
+    """Largest deviation of ``fn`` from a float64 row sum, per row magnitude."""
+    worst = 0.0
+    for x in arrays:
+        wide = x.astype(np.float64)
+        error = np.abs(fn(x) - wide.sum(axis=-1, keepdims=True))
+        magnitude = np.abs(wide).sum(axis=-1, keepdims=True)
+        worst = max(worst, float(np.max(error / np.maximum(magnitude, np.finfo(float).tiny))))
+    return worst
 
 
 @pytest.mark.bench_smoke
@@ -129,14 +160,18 @@ def test_runtime_train_step(monkeypatch):
             return runtime.train_step(lambda: loss_fn(model(ids), targets))
 
         nodes = set()
+        row_sums = set()
         for _ in range(WARMUP):
             built: list = []
             gradients: list = []
+            reduced: list = []
             with monkeypatch.context() as patch:
                 patch.setattr(Tensor, "_make_node", _counting_nodes(built))
                 patch.setattr(offload, "round_fp16", _capturing_rounding(gradients))
+                patch.setattr(tensor, "_row_sum", _capturing_row_sums(reduced))
                 step()
             nodes.add(len(built))
+            row_sums.add(len(reduced))
         for _ in range(STEPS):
             registry = MetricsRegistry()
             with observe(registry=registry):
@@ -149,6 +184,7 @@ def test_runtime_train_step(monkeypatch):
     assert len(moves) == 1, f"moves per step differ between steps: {sorted(moves)}"
     assert len(adam_updates) == 1, f"Adam updates differ between steps: {sorted(adam_updates)}"
     assert len(nodes) == 1, f"autograd nodes differ between steps: {sorted(nodes)}"
+    assert len(row_sums) == 1, f"row reductions differ between steps: {sorted(row_sums)}"
     assert {len(gradients)} == adam_updates, "one rounded gradient per group update"
     for array in gradients:
         np.testing.assert_array_equal(
@@ -161,7 +197,16 @@ def test_runtime_train_step(monkeypatch):
         "subnormal_share": float(np.mean((magnitude > 0) & (magnitude < 2.0**-14))),
         "round_fp16_ms_per_step": _min_ms(lambda x: round_fp16(x, "gradient"), gradients),
         "numpy_cast_ms_per_step": _min_ms(_numpy_cast, gradients),
-        "repeats": ROUNDING_REPEATS,
+        "repeats": REPEATS,
+    }
+    reductions = {
+        "arrays_per_step": len(reduced),
+        "elements_per_step": int(sum(x.size for x in reduced)),
+        "numpy_sum_ms_per_step": _min_ms(_numpy_row_sum, reduced),
+        "matvec_ms_per_step": _min_ms(tensor._row_sum, reduced),
+        "numpy_sum_max_error": _row_sum_error(_numpy_row_sum, reduced),
+        "matvec_max_error": _row_sum_error(tensor._row_sum, reduced),
+        "repeats": REPEATS,
     }
     write_bench_json(
         "runtime",
@@ -172,6 +217,7 @@ def test_runtime_train_step(monkeypatch):
             "adam_updates_per_step": adam_updates.pop(),
             "autograd_nodes_per_step": nodes.pop(),
             "fp16_rounding": rounding,
+            "row_reductions": reductions,
         },
     )
     print(
@@ -183,4 +229,11 @@ def test_runtime_train_step(monkeypatch):
         f"step ({rounding['subnormal_share']:.1%} subnormal): round_fp16 "
         f"{rounding['round_fp16_ms_per_step']:.3f} ms, NumPy's cast "
         f"{rounding['numpy_cast_ms_per_step']:.3f} ms"
+    )
+    print(
+        f"row sums of {reductions['arrays_per_step']} arrays per step "
+        f"({reductions['elements_per_step']} elements): NumPy's sum "
+        f"{reductions['numpy_sum_ms_per_step']:.3f} ms, product with ones "
+        f"{reductions['matvec_ms_per_step']:.3f} ms; largest errors "
+        f"{reductions['numpy_sum_max_error']:.1e} and {reductions['matvec_max_error']:.1e}"
     )
