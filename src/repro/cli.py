@@ -563,7 +563,7 @@ def _fleet_resume(args, opts, out):
         ledger=opts.ledger,
     )
     requeued = len(fleet._queue)
-    terminal = sum(1 for job_id in fleet._order if fleet.result(job_id) is not None)
+    terminal = sum(1 for job_id in fleet._jobs if fleet.result(job_id) is not None)
     tail = f" (repaired {repaired} torn bytes)" if repaired else ""
     print(
         f"resumed from {opts.journal}: {terminal} jobs already terminal, "

@@ -46,9 +46,9 @@ from .api import (
     JobSpec,
     percentile,
 )
-from .cluster import Fleet, FleetOutcome, JobState
+from .cluster import Fleet, FleetOutcome
 from .drill import CrashDrillReport, crash_contract, run_crash_drill
-from .journal import FleetJournal, JobFold, JournalFold
+from .journal import FleetJournal, JobState, JournalFold
 from .node import Node
 from .oracle import CostOracle
 from .schedulers import (
@@ -83,7 +83,6 @@ __all__ = [
     "CrashDrillReport",
     "crash_contract",
     "FleetJournal",
-    "JobFold",
     "JournalFold",
     "run_crash_drill",
     "SCHEDULERS",

@@ -44,14 +44,14 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.obs import tracectx
 from repro.obs.ledger import LedgerEntry, RunLedger
 
 from .api import FleetError, FleetEvent, JobResult, JobSpec, percentile
-from .journal import FleetJournal, JobFold
+from .journal import FleetJournal, JobState
 from .node import Node
 from .oracle import CostOracle
 from .schedulers import Scheduler, make_scheduler
@@ -65,31 +65,6 @@ MIGRATE_THRESHOLD = 1.3
 #: seconds is quarantined (anti-flap hysteresis).
 FLAP_WINDOW_S = 3600.0
 FLAP_THRESHOLD = 3
-
-
-@dataclass
-class JobState:
-    """Mutable per-job bookkeeping (the immutable identity stays in ``spec``)."""
-
-    spec: JobSpec
-    seq: int
-    submitted_at: float
-    remaining_iterations: int
-    node: str | None = None
-    started_at: float | None = None
-    first_started_at: float | None = None
-    iter_time: float = math.nan
-    #: Bumped on every (re)dispatch and preemption; stale completion
-    #: events carry an older version and are ignored.
-    version: int = 0
-    preemptions: int = 0
-    migrations: int = 0
-    nodes_visited: list[str] = field(default_factory=list)
-    #: Total completed iterations durably checkpointed (monotone).
-    #: Unseating the job rolls ``remaining_iterations`` back to here.
-    checkpointed_iterations: int = 0
-    #: Iterations executed then rolled back (redone work).
-    lost_iterations: int = 0
 
 
 @dataclass
@@ -155,7 +130,6 @@ class Fleet:
         self._jobs: dict[str, JobState] = {}
         self._queue: list[JobState] = []
         self._results: dict[str, JobResult] = {}
-        self._order: list[str] = []  # job_ids in submit order
         self._heap: list[tuple[float, int, str, Any]] = []
         self._heap_seq = 0
         self._job_seq = 0
@@ -184,7 +158,6 @@ class Fleet:
         )
         self._job_seq += 1
         self._jobs[spec.job_id] = state
-        self._order.append(spec.job_id)
         # Journal-first: the submit is durable before the arrival can
         # have any scheduling consequence.
         self._jrec(
@@ -278,13 +251,16 @@ class Fleet:
     ) -> "Fleet":
         """Rebuild a live fleet from its write-ahead journal.
 
-        Exactly-once accounting: jobs the journal marks terminal stay
-        terminal (their results are restored, never re-run), live jobs
-        requeue at their last durable checkpoint (work past it is lost
-        with the crashed coordinator's memory), the fleet clock resumes
-        at the last journaled instant (so priority aging continues from
-        real queue ages), and node health — degradations, fail-stops,
-        quarantines, the flap-hysteresis crash history — is reinstated.
+        Exactly-once accounting: the fold's :class:`JobState` records
+        become the fleet's own.  Jobs the journal marks terminal stay
+        terminal (their results are restored, never re-run); a running
+        job is rolled back to its last durable checkpoint by the rule
+        every unseat applies (work past it is lost with the crashed
+        coordinator's memory).  The fleet clock resumes at the last
+        journaled instant (so priority aging continues from real queue
+        ages), and each node's health records — degradations,
+        fail-stops, quarantines — replay in order through its own
+        methods, flap-hysteresis crash history included.
         The journal's torn tail, if any, is repaired *before* the first
         post-recovery append; replay is idempotent, so recovering twice
         from the same journal yields identical fleets.
@@ -304,29 +280,36 @@ class Fleet:
             journal=fj,
         )
         fleet.now = fold.clock
-        for name, health in fold.nodes.items():
+        for name, records in fold.nodes.items():
             node = fleet._by_name.get(name)
             if node is None:
                 continue
-            if health["failed_ssds"] or health["bw_sag"] < 1.0:
-                node.degrade(
-                    failed_ssds=health["failed_ssds"] or None,
-                    bw_sag=health["bw_sag"] if health["bw_sag"] < 1.0 else None,
-                )
-            node.alive = health["alive"]
-            node.quarantined = health["quarantined"]
-            node.crash_times = list(health["crash_times"])
-        requeued = 0
-        for job_id in fold.order:
-            jf = fold.jobs[job_id]
-            state = fleet._restore_job(jf, fold.clock)
-            if not jf.terminal:
+            for rec, t, failed_ssds, bw_sag in records:
+                if rec == "degrade":
+                    node.degrade(failed_ssds=failed_ssds, bw_sag=bw_sag)
+                elif rec == "restore":
+                    node.restore()
+                elif rec == "node_crash":
+                    node.crash(t)
+                elif rec == "node_rejoin":
+                    node.rejoin()
+                else:  # quarantine
+                    node.quarantined = True
+        fleet._jobs = fold.jobs
+        for state in fold.jobs.values():
+            if state.terminal:
+                fleet._results[state.spec.job_id] = state.result()
+            elif state.state == "running":
+                # The crash unseated it along with the coordinator.
+                fleet._roll_back(state)
+            else:
                 fleet._queue.append(state)
-                requeued += 1
-        fleet._job_seq = max((jf.seq for jf in fold.jobs.values()), default=-1) + 1
+        requeued = len(fleet._queue)
+        terminal = len(fold.jobs) - requeued
+        fleet._job_seq = max((state.seq for state in fold.jobs.values()), default=-1) + 1
         fleet._jrec(
             "recover",
-            jobs=len(fold.order),
+            jobs=len(fold.jobs),
             requeued=requeued,
             clock=fold.clock,
             truncated_tail=fold.truncated_tail,
@@ -336,7 +319,7 @@ class Fleet:
             "recover",
             detail=(
                 f"{requeued} live jobs requeued, "
-                f"{len(fold.terminal)} terminal restored; "
+                f"{terminal} terminal restored; "
                 f"clock resumes at {fold.clock:.0f}s"
             ),
         )
@@ -344,64 +327,14 @@ class Fleet:
             "recover",
             None,
             None,
-            jobs=len(fold.order),
+            jobs=len(fold.jobs),
             requeued=requeued,
-            terminal=len(fold.terminal),
+            terminal=terminal,
             clock=fold.clock,
             truncated_tail=fold.truncated_tail,
             duplicate_terminals=fold.duplicate_terminals,
         )
         return fleet
-
-    def _restore_job(self, jf: JobFold, clock: float) -> JobState:
-        """Reinstate one folded job (terminal result or requeue-at-checkpoint)."""
-        state = JobState(
-            spec=jf.spec,
-            seq=jf.seq,
-            submitted_at=jf.submitted_at,
-            remaining_iterations=jf.resume_iterations,
-            first_started_at=jf.first_started_at,
-            checkpointed_iterations=jf.checkpointed,
-            preemptions=jf.preemptions,
-            migrations=jf.migrations,
-            lost_iterations=jf.lost_iterations,
-            nodes_visited=list(jf.nodes_visited),
-        )
-        self._jobs[jf.spec.job_id] = state
-        self._order.append(jf.spec.job_id)
-        if jf.terminal:
-            state.remaining_iterations = 0
-            completed = jf.state == "completed"
-            self._results[jf.spec.job_id] = JobResult(
-                spec=jf.spec,
-                state=jf.state,
-                node=jf.node if completed else None,
-                submitted_at=jf.submitted_at,
-                started_at=jf.first_started_at if completed else None,
-                finished_at=jf.finished_at if completed else None,
-                iteration_time=jf.iter_time if completed else math.nan,
-                preemptions=jf.preemptions,
-                migrations=jf.migrations,
-                reason=jf.reason,
-                nodes_visited=tuple(jf.nodes_visited),
-                lost_iterations=jf.lost_iterations,
-            )
-            return state
-        if jf.state == "running":
-            # The crash unseated it along with the coordinator: whatever
-            # ran past the last checkpoint died in that node's memory.
-            done_run = 0
-            if (
-                jf.assigned_at is not None
-                and not math.isnan(jf.iter_time)
-                and jf.iter_time > 0
-            ):
-                done_run = int((clock - jf.assigned_at) / jf.iter_time + 1e-9)
-                done_run = max(0, min(done_run, jf.remaining))
-            total_done = jf.spec.iterations - jf.remaining + done_run
-            state.lost_iterations += max(0, total_done - jf.checkpointed)
-            state.preemptions += 1
-        return state
 
     def snapshot(self) -> dict[str, Any]:
         """Canonical fleet state (NaN-free) for equality comparisons —
@@ -426,7 +359,7 @@ class Fleet:
                         "seq": state.seq,
                         "submitted_at": state.submitted_at,
                         "remaining": state.remaining_iterations,
-                        "checkpointed": state.checkpointed_iterations,
+                        "checkpointed": state.checkpointed,
                         "lost": state.lost_iterations,
                         "preemptions": state.preemptions,
                         "migrations": state.migrations,
@@ -506,7 +439,9 @@ class Fleet:
         assert state.started_at is not None
         node.busy_s += self.now - state.started_at
         node.running = None
+        state.state = "completed"
         state.remaining_iterations = 0
+        state.finished_at = self.now
         self._jrec(
             "finish",
             job_id=job_id,
@@ -518,20 +453,7 @@ class Fleet:
             lost=state.lost_iterations,
             nodes_visited=list(state.nodes_visited),
         )
-        result = JobResult(
-            spec=state.spec,
-            state="completed",
-            node=node.name,
-            submitted_at=state.submitted_at,
-            started_at=state.first_started_at,
-            finished_at=self.now,
-            iteration_time=state.iter_time,
-            preemptions=state.preemptions,
-            migrations=state.migrations,
-            nodes_visited=tuple(state.nodes_visited),
-            lost_iterations=state.lost_iterations,
-        )
-        self._results[job_id] = result
+        result = self._results[job_id] = state.result()
         state.node = None
         self._event("complete", job_id=job_id, node=node.name)
         self._record(
@@ -653,7 +575,7 @@ class Fleet:
         """
         total_done = self._done_iterations(state)
         continuous = state.spec.iterations - total_done
-        resume = max(1, state.spec.iterations - state.checkpointed_iterations)
+        resume = state.resume_iterations
         stay = continuous * new_iter if not math.isnan(new_iter) else math.inf
         move, target = math.inf, None
         for other in self.nodes:
@@ -669,7 +591,7 @@ class Fleet:
             "move_s": move,
             "move_node": target,
             "resume_iterations": resume,
-            "lost_iterations": max(0, total_done - state.checkpointed_iterations),
+            "lost_iterations": max(0, total_done - state.checkpointed),
         }
 
     # -- checkpoints and node fail-stop ----------------------------------------
@@ -698,8 +620,8 @@ class Fleet:
         if state is None or state.version != version or state.node is None:
             return  # stale: the job moved or repriced since this was armed
         done_total = min(self._done_iterations(state), state.spec.iterations - 1)
-        if done_total > state.checkpointed_iterations:
-            state.checkpointed_iterations = done_total
+        if done_total > state.checkpointed:
+            state.checkpointed = done_total
             self._jrec(
                 "checkpoint", job_id=job_id, node=state.node, iterations=done_total
             )
@@ -725,9 +647,7 @@ class Fleet:
         )
         self._record("node_crash", None, name, crashes=len(node.crash_times))
         if state is not None:
-            self._unseat(
-                node, "node fail-stop", resume_from=state.checkpointed_iterations
-            )
+            self._unseat(node, "node fail-stop", resume_from=state.checkpointed)
         recent = [t for t in node.crash_times if t >= self.now - FLAP_WINDOW_S]
         if len(recent) >= FLAP_THRESHOLD and not node.quarantined:
             node.quarantined = True
@@ -870,6 +790,7 @@ class Fleet:
                 "where it is infeasible"
             )
         migrated = bool(state.nodes_visited) and state.nodes_visited[-1] != node.name
+        state.state = "running"
         state.node = node.name
         state.started_at = self.now
         if state.first_started_at is None:
@@ -897,7 +818,7 @@ class Fleet:
             node.name,
             iter_time=iter_time,
             remaining_iterations=state.remaining_iterations,
-            resume_from=state.checkpointed_iterations,
+            resume_from=state.checkpointed,
         )
 
     def _schedule_finish(self, state: JobState) -> None:
@@ -923,18 +844,9 @@ class Fleet:
         """
         state = node.running
         assert state is not None and state.started_at is not None
-        kept = min(state.checkpointed_iterations, state.spec.iterations - 1)
-        lost = max(0, self._done_iterations(state) - kept)
         node.busy_s += self.now - state.started_at
         node.running = None
-        state.remaining_iterations = max(1, state.spec.iterations - kept)
-        state.lost_iterations += lost
-        state.node = None
-        state.started_at = None
-        state.iter_time = math.nan
-        state.version += 1  # invalidate the scheduled finish + checkpoints
-        state.preemptions += 1
-        self._queue.append(state)
+        lost = self._roll_back(state)
         kind, why = ("preempt", {}) if reason is None else ("requeue", {"reason": reason})
         self._event(kind, job_id=state.spec.job_id, node=node.name, detail=reason or "")
         self._jrec(
@@ -946,6 +858,24 @@ class Fleet:
             **why,
         )
         self._record(kind, state, node.name, lost_iterations=lost, **why, **extra)
+
+    def _roll_back(self, state: JobState) -> int:
+        """Requeue a running job at its last checkpoint; returns the
+        iterations lost.  Every unseat and coordinator recovery roll a
+        job back through here: only ``iterations - resume_iterations``
+        (at most ``iterations - 1``) survive."""
+        resume = state.resume_iterations
+        lost = max(0, self._done_iterations(state) - (state.spec.iterations - resume))
+        state.state = "queued"
+        state.remaining_iterations = resume
+        state.lost_iterations += lost
+        state.node = None
+        state.started_at = None
+        state.iter_time = math.nan
+        state.version += 1  # invalidate the scheduled finish + checkpoints
+        state.preemptions += 1
+        self._queue.append(state)
+        return lost
 
     def _done_iterations(self, state: JobState) -> int:
         """Iterations the running job has done in all: those before this
@@ -969,6 +899,8 @@ class Fleet:
     def _reject(self, state: JobState, reason: str, *, queued: bool = True) -> None:
         if queued and state in self._queue:
             self._queue.remove(state)
+        state.state = "rejected"
+        state.reason = reason
         self._jrec(
             "reject",
             job_id=state.spec.job_id,
@@ -976,16 +908,7 @@ class Fleet:
             preemptions=state.preemptions,
             migrations=state.migrations,
         )
-        self._results[state.spec.job_id] = JobResult(
-            spec=state.spec,
-            state="rejected",
-            submitted_at=state.submitted_at,
-            preemptions=state.preemptions,
-            migrations=state.migrations,
-            reason=reason,
-            nodes_visited=tuple(state.nodes_visited),
-            lost_iterations=state.lost_iterations,
-        )
+        self._results[state.spec.job_id] = state.result()
         self._event("reject", job_id=state.spec.job_id, detail=reason)
         self._record("reject", state, None, reason=reason)
 
@@ -1072,7 +995,7 @@ class Fleet:
     # -- scoring ---------------------------------------------------------------
 
     def _outcome(self) -> FleetOutcome:
-        results = [self._results[job_id] for job_id in self._order if job_id in self._results]
+        results = [self._results[job_id] for job_id in self._jobs if job_id in self._results]
         completed = [r for r in results if r.completed]
         latencies = [r.latency_s for r in completed]
         waits = [r.wait_s for r in completed if not math.isnan(r.wait_s)]
@@ -1087,7 +1010,7 @@ class Fleet:
         deadlines = [r for r in results if r.met_deadline is not None]
         metrics: dict[str, Any] = {
             "scheduler": self.scheduler.name,
-            "jobs": len(self._order),
+            "jobs": len(self._jobs),
             "completed": len(completed),
             "rejected": sum(1 for r in results if r.state == "rejected"),
             "makespan_s": makespan,

@@ -195,7 +195,7 @@ def run_crash_drill(
             )
         fleet.run_until(kill_at)
         pre_crash_completed = sum(
-            1 for job_id in fleet._order if fleet.result(job_id) is not None
+            1 for job_id in fleet._jobs if fleet.result(job_id) is not None
         )
         if not journaled:
             # Nothing on disk: every non-terminal job dies with the fleet.

@@ -33,7 +33,7 @@ from repro.hardware.spec import ServerSpec
 from .api import FleetError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cluster import JobState
+    from .journal import JobState
 
 
 class Node:

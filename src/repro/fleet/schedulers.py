@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 from .api import FleetError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cluster import JobState
+    from .journal import JobState
     from .node import Node
     from .oracle import CostOracle
 
