@@ -401,6 +401,25 @@ class TestFleetCommand:
         assert "4 jobs already terminal" in text
         assert "0 requeued" in text
 
+    def test_fleet_resume_skips_a_wrongly_typed_record(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        code, _ = run_cli(
+            "fleet", "--arrivals", "4", "--show-events", "0", "--journal", path,
+        )
+        assert code == 0
+        with open(path) as handle:
+            job_id = json.loads(handle.readline())["job"]["job_id"]
+        # Applied, this assign would revive a finished job; its null
+        # iter_time gets the record skipped instead.
+        damaged = {"rec": "assign", "t": 1.0, "job_id": job_id, "node": "box-4090",
+                   "iter_time": None, "remaining": 5, "migrated": False}
+        with open(path, "a") as handle:
+            handle.write(json.dumps(damaged) + "\n")
+        code, text = run_cli("fleet", "--resume", "--journal", path)
+        assert code == 0
+        assert "4 jobs already terminal" in text
+        assert "0 requeued" in text
+
     def test_fleet_shares_runner_parent_flags(self):
         # The consolidated RunOptions parent parser: fleet accepts the
         # same --cache-dir/--retries/--timeout flags sweep does.
