@@ -40,6 +40,8 @@ class JournalAccounting:
     unmatched: int = 0
     truncated_tail: int = 0
     skipped: int = 0
+    #: Requests marked done/failed more than once (must stay 0).
+    duplicate_terminals: int = 0
 
     @property
     def orphans(self) -> list[dict[str, Any]]:
@@ -50,13 +52,6 @@ class JournalAccounting:
             for request_id, record in self.accepted.items()
             if request_id not in terminal
         ]
-
-    @property
-    def duplicate_terminals(self) -> int:
-        """Requests marked done/failed more than once (must stay 0)."""
-        return self._duplicates
-
-    _duplicates: int = 0
 
 
 class RequestJournal:
@@ -102,7 +97,6 @@ class RequestJournal:
     def fold(self) -> JournalAccounting:
         """Replay the journal into accepted/terminal accounting."""
         accounting = JournalAccounting()
-        duplicates = 0
         for record in self._file:
             kind = record.get("rec")
             request_id = record.get("request_id")
@@ -114,7 +108,7 @@ class RequestJournal:
             elif kind in ("done", "failed"):
                 bucket = accounting.done if kind == "done" else accounting.failed
                 if request_id in accounting.done or request_id in accounting.failed:
-                    duplicates += 1
+                    accounting.duplicate_terminals += 1
                 if request_id not in accounting.accepted:
                     accounting.unmatched += 1
                 bucket.add(request_id)
@@ -122,5 +116,4 @@ class RequestJournal:
                 accounting.skipped += 1
         accounting.skipped += self._file.skipped
         accounting.truncated_tail = self._file.truncated_tail
-        accounting._duplicates = duplicates
         return accounting
