@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from repro.obs import tracectx
@@ -255,12 +255,14 @@ class Fleet:
         become the fleet's own.  Jobs the journal marks terminal stay
         terminal (their results are restored, never re-run); a running
         job is rolled back to its last durable checkpoint by the rule
-        every unseat applies (work past it is lost with the crashed
+        every unseat applies, and the fold replays at this recovery's
+        ``recover`` record (work past it is lost with the crashed
         coordinator's memory).  The fleet clock resumes at the last
         journaled instant (so priority aging continues from real queue
         ages), and each node's health records — degradations,
         fail-stops, quarantines — replay in order through its own
-        methods, flap-hysteresis crash history included.
+        methods, flap-hysteresis crash history included (a degrade the
+        node rejects is skipped with a warning).
         The journal's torn tail, if any, is repaired *before* the first
         post-recovery append; replay is idempotent, so recovering twice
         from the same journal yields identical fleets.
@@ -286,7 +288,10 @@ class Fleet:
                 continue
             for rec, t, failed_ssds, bw_sag in records:
                 if rec == "degrade":
-                    node.degrade(failed_ssds=failed_ssds, bw_sag=bw_sag)
+                    try:
+                        node.degrade(failed_ssds=failed_ssds, bw_sag=bw_sag)
+                    except FleetError as exc:  # the node is left as it was
+                        logger.warning("skipping the degrade journaled at t=%s: %s", t, exc)
                 elif rec == "restore":
                     node.restore()
                 elif rec == "node_crash":
@@ -295,13 +300,12 @@ class Fleet:
                     node.rejoin()
                 else:  # quarantine
                     node.quarantined = True
+        # The crash unseated every running job along with the coordinator.
+        fold.roll_back(fold.clock)
         fleet._jobs = fold.jobs
         for state in fold.jobs.values():
             if state.terminal:
                 fleet._results[state.spec.job_id] = state.result()
-            elif state.state == "running":
-                # The crash unseated it along with the coordinator.
-                fleet._roll_back(state)
             else:
                 fleet._queue.append(state)
         requeued = len(fleet._queue)
@@ -354,19 +358,7 @@ class Fleet:
             "scheduler": self.scheduler.name,
             "queue": sorted(state.spec.job_id for state in self._queue),
             "jobs": {
-                job_id: clean(
-                    {
-                        "seq": state.seq,
-                        "submitted_at": state.submitted_at,
-                        "remaining": state.remaining_iterations,
-                        "checkpointed": state.checkpointed,
-                        "lost": state.lost_iterations,
-                        "preemptions": state.preemptions,
-                        "migrations": state.migrations,
-                        "node": state.node,
-                        "nodes_visited": list(state.nodes_visited),
-                    }
-                )
+                job_id: clean({k: v for k, v in asdict(state).items() if k != "version"})
                 for job_id, state in sorted(self._jobs.items())
             },
             "results": {
@@ -433,18 +425,15 @@ class Fleet:
 
     def _finish(self, job_id: str, version: int) -> None:
         state = self._jobs[job_id]
-        if state.version != version or state.node is None:
+        if state.version != version or state.state != "running":
             return  # stale: the job was preempted/repriced since this was scheduled
+        assert state.node is not None and state.started_at is not None
         node = self._by_name[state.node]
-        assert state.started_at is not None
         node.busy_s += self.now - state.started_at
         node.running = None
-        state.state = "completed"
-        state.remaining_iterations = 0
-        state.finished_at = self.now
-        self._jrec(
+        self._apply(
+            state,
             "finish",
-            job_id=job_id,
             node=node.name,
             started_at=state.first_started_at,
             iteration_time=state.iter_time,
@@ -454,7 +443,6 @@ class Fleet:
             nodes_visited=list(state.nodes_visited),
         )
         result = self._results[job_id] = state.result()
-        state.node = None
         self._event("complete", job_id=job_id, node=node.name)
         self._record(
             "complete",
@@ -540,18 +528,15 @@ class Fleet:
         rate, then reschedule the finish at the degraded rate."""
         assert state.started_at is not None
         node.busy_s += self.now - state.started_at
-        state.remaining_iterations -= self._completed_iterations(state)
-        state.started_at = self.now
-        state.iter_time = new_iter
-        state.version += 1
-        self._schedule_finish(state)
-        self._jrec(
+        self._apply(
+            state,
             "reprice",
-            job_id=state.spec.job_id,
             node=node.name,
             iter_time=new_iter,
-            remaining=state.remaining_iterations,
+            remaining=state.spec.iterations - state.done_iterations(self.now),
         )
+        state.version += 1
+        self._schedule_finish(state)
         self._record(
             "reprice",
             state,
@@ -573,7 +558,7 @@ class Fleet:
         through the CostOracle, so the delta is Algorithm 1's estimate
         of the work the migration would throw away.
         """
-        total_done = self._done_iterations(state)
+        total_done = state.done_iterations(self.now)
         continuous = state.spec.iterations - total_done
         resume = state.resume_iterations
         stay = continuous * new_iter if not math.isnan(new_iter) else math.inf
@@ -607,7 +592,7 @@ class Fleet:
         every = state.spec.checkpoint_every
         if every is None or state.node is None:
             return
-        if self._done_iterations(state) + every >= state.spec.iterations:
+        if state.done_iterations(self.now) + every >= state.spec.iterations:
             return
         self._push(
             self.now + every * state.iter_time,
@@ -617,14 +602,11 @@ class Fleet:
 
     def _checkpoint(self, job_id: str, version: int) -> None:
         state = self._jobs.get(job_id)
-        if state is None or state.version != version or state.node is None:
+        if state is None or state.version != version or state.state != "running":
             return  # stale: the job moved or repriced since this was armed
-        done_total = min(self._done_iterations(state), state.spec.iterations - 1)
+        done_total = min(state.done_iterations(self.now), state.spec.iterations - 1)
         if done_total > state.checkpointed:
-            state.checkpointed = done_total
-            self._jrec(
-                "checkpoint", job_id=job_id, node=state.node, iterations=done_total
-            )
+            self._apply(state, "checkpoint", node=state.node, iterations=done_total)
             self._event(
                 "checkpoint",
                 job_id=job_id,
@@ -790,26 +772,17 @@ class Fleet:
                 "where it is infeasible"
             )
         migrated = bool(state.nodes_visited) and state.nodes_visited[-1] != node.name
-        state.state = "running"
-        state.node = node.name
-        state.started_at = self.now
-        if state.first_started_at is None:
-            state.first_started_at = self.now
-        state.iter_time = iter_time
-        state.version += 1
-        if migrated:
-            state.migrations += 1
-        state.nodes_visited.append(node.name)
-        node.running = state
-        self._schedule_finish(state)
-        self._jrec(
+        self._apply(
+            state,
             "assign",
-            job_id=state.spec.job_id,
             node=node.name,
             iter_time=iter_time,
             remaining=state.remaining_iterations,
             migrated=migrated,
         )
+        state.version += 1
+        node.running = state
+        self._schedule_finish(state)
         kind = "migrate" if migrated else "start"
         self._event(kind, job_id=state.spec.job_id, node=node.name)
         self._record(
@@ -846,64 +819,20 @@ class Fleet:
         assert state is not None and state.started_at is not None
         node.busy_s += self.now - state.started_at
         node.running = None
-        lost = self._roll_back(state)
         kind, why = ("preempt", {}) if reason is None else ("requeue", {"reason": reason})
-        self._event(kind, job_id=state.spec.job_id, node=node.name, detail=reason or "")
-        self._jrec(
-            kind,
-            job_id=state.spec.job_id,
-            node=node.name,
-            remaining=state.remaining_iterations,
-            lost=lost,
-            **why,
-        )
-        self._record(kind, state, node.name, lost_iterations=lost, **why, **extra)
-
-    def _roll_back(self, state: JobState) -> int:
-        """Requeue a running job at its last checkpoint; returns the
-        iterations lost.  Every unseat and coordinator recovery roll a
-        job back through here: only ``iterations - resume_iterations``
-        (at most ``iterations - 1``) survive."""
-        resume = state.resume_iterations
-        lost = max(0, self._done_iterations(state) - (state.spec.iterations - resume))
-        state.state = "queued"
-        state.remaining_iterations = resume
-        state.lost_iterations += lost
-        state.node = None
-        state.started_at = None
-        state.iter_time = math.nan
+        rollback = state.roll_back(self.now)
+        self._apply(state, kind, node=node.name, **rollback, **why)
         state.version += 1  # invalidate the scheduled finish + checkpoints
-        state.preemptions += 1
         self._queue.append(state)
-        return lost
-
-    def _done_iterations(self, state: JobState) -> int:
-        """Iterations the running job has done in all: those before this
-        run plus those this run has completed so far."""
-        return (
-            state.spec.iterations
-            - state.remaining_iterations
-            + self._completed_iterations(state)
-        )
-
-    def _completed_iterations(self, state: JobState) -> int:
-        assert state.started_at is not None
-        if math.isnan(state.iter_time) or state.iter_time <= 0:
-            return 0
-        elapsed = self.now - state.started_at
-        # The epsilon keeps an event landing exactly on an iteration
-        # boundary (e.g. a checkpoint armed at k * iter_time) from
-        # flooring one iteration short through float division.
-        return min(state.remaining_iterations, int(elapsed / state.iter_time + 1e-9))
+        self._event(kind, job_id=state.spec.job_id, node=node.name, detail=reason or "")
+        self._record(kind, state, node.name, lost_iterations=rollback["lost"], **why, **extra)
 
     def _reject(self, state: JobState, reason: str, *, queued: bool = True) -> None:
         if queued and state in self._queue:
             self._queue.remove(state)
-        state.state = "rejected"
-        state.reason = reason
-        self._jrec(
+        self._apply(
+            state,
             "reject",
-            job_id=state.spec.job_id,
             reason=reason,
             preemptions=state.preemptions,
             migrations=state.migrations,
@@ -913,6 +842,13 @@ class Fleet:
         self._record("reject", state, None, reason=reason)
 
     # -- recording -------------------------------------------------------------
+
+    def _apply(self, state: JobState, rec: str, **fields_: Any) -> None:
+        """Apply one job record to ``state``, then journal it: the fold
+        replays the same record through the same :meth:`JobState.apply`."""
+        record = {"job_id": state.spec.job_id, **fields_}
+        state.apply(rec, record, self.now)
+        self._jrec(rec, **record)
 
     def _jrec(self, rec: str, **fields_: Any) -> None:
         """Append one transition to the write-ahead journal (never fatal)."""

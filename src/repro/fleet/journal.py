@@ -8,7 +8,9 @@ work second:
 
 * every state transition (``submit`` / ``assign`` / ``checkpoint`` /
   ``preempt`` / ``requeue`` / ``reprice`` / ``finish`` / ``reject`` /
-  node health) is appended as one JSONL record *when it happens*;
+  node health) is appended as one JSONL record *when it happens*, a job
+  record once the live fleet has applied it through :meth:`JobState.apply`,
+  the method the fold replays it through;
 * on restart, :meth:`FleetJournal.fold` replays the journal into a
   :class:`JournalFold` — every job's last state as the fleet's own
   :class:`JobState`, each node's health records in order, and the
@@ -29,7 +31,9 @@ lost or duplicated jobs.
 
 Record grammar (``rec`` discriminates; every record carries ``t``, the
 fleet clock; the fold skips, whole, a record whose ``t`` is not a finite
-number or whose numeric field does not convert to its type):
+number or whose numeric field does not convert to its type, and refuses
+any job record for a job already terminal, counting it in
+``duplicate_terminals``):
 
 ========== ==============================================================
 submit       ``job`` (full spec payload), ``seq``, ``submitted_at``
@@ -50,7 +54,8 @@ restore      ``node`` (healed to provisioned spec, quarantine lifted)
 node_crash   ``node`` (fail-stop: drops off the fleet)
 node_rejoin  ``node`` (comes back; stays out if quarantined)
 quarantine   ``node``, ``crashes``, ``window_s`` (anti-flap hysteresis)
-recover      post-crash marker: ``jobs``, ``requeued``, ``clock``
+recover      post-crash marker: ``jobs``, ``requeued``, ``clock``;
+             replay rolls every running job back at ``t``, as it did
 ========== ==============================================================
 """
 
@@ -97,8 +102,8 @@ class JobState:
     """Mutable per-job bookkeeping (the immutable identity stays in ``spec``).
 
     The live fleet keeps one per submitted job, and
-    :meth:`FleetJournal.fold` rebuilds the same record from the journal,
-    so a recovered fleet resumes from exactly what the crashed one wrote.
+    :meth:`FleetJournal.fold` rebuilds the same record from the journal;
+    :meth:`apply` is the one writer of the journaled fields for both.
     """
 
     spec: JobSpec
@@ -136,6 +141,81 @@ class JobState:
         checkpoint (at least one: a checkpoint past ``iterations - 1``
         keeps only ``iterations - 1``)."""
         return max(1, self.spec.iterations - self.checkpointed)
+
+    def done_iterations(self, now: float) -> int:
+        """Iterations the running job has done in all by fleet time
+        ``now``: those before this run plus those this run completed."""
+        assert self.started_at is not None
+        done = self.spec.iterations - self.remaining_iterations
+        if math.isnan(self.iter_time) or self.iter_time <= 0:
+            return done
+        # The epsilon keeps an event landing exactly on an iteration
+        # boundary (e.g. a checkpoint armed at k * iter_time) from
+        # flooring one iteration short through float division.
+        ran = int((now - self.started_at) / self.iter_time + 1e-9)
+        return done + min(self.remaining_iterations, ran)
+
+    def roll_back(self, now: float) -> dict[str, int]:
+        """The ``remaining`` and ``lost`` of unseating the running job at
+        fleet time ``now``: every unseat and recovery resumes it at its
+        last checkpoint, so at most ``iterations - 1`` iterations survive."""
+        resume = self.resume_iterations
+        lost = self.done_iterations(now) - (self.spec.iterations - resume)
+        return {"remaining": resume, "lost": max(0, lost)}
+
+    def apply(self, rec: str, record: dict[str, Any], t: float) -> bool:
+        """Apply one job record at fleet time ``t``; ``False`` when refused.
+
+        A record for a terminal job is refused (exactly-once: the first
+        terminal record wins, and nothing revives a finished job).
+        """
+        if self.terminal:
+            return False
+        if rec == "assign":
+            self.state = "running"
+            self.node = record.get("node")
+            self.iter_time = record.get("iter_time", math.nan)
+            self.remaining_iterations = record.get("remaining", self.remaining_iterations)
+            self.started_at = t
+            if self.first_started_at is None:
+                self.first_started_at = t
+            if record.get("migrated"):
+                self.migrations += 1
+            if isinstance(self.node, str):
+                self.nodes_visited.append(self.node)
+        elif rec == "checkpoint":
+            self.checkpointed = max(self.checkpointed, record.get("iterations", 0))
+        elif rec in ("preempt", "requeue"):
+            self.state = "queued"
+            self.node = None
+            self.started_at = None
+            self.iter_time = math.nan
+            self.remaining_iterations = record.get("remaining", self.remaining_iterations)
+            self.lost_iterations += record.get("lost", 0)
+            self.preemptions += 1
+        elif rec == "reprice":
+            self.iter_time = record.get("iter_time", self.iter_time)
+            self.remaining_iterations = record.get("remaining", self.remaining_iterations)
+            self.started_at = t
+        elif rec == "finish":
+            self.state = "completed"
+            self.node = record.get("node", self.node)
+            self.remaining_iterations = 0
+            self.finished_at = t
+            self.iter_time = record.get("iteration_time", self.iter_time)
+            self.preemptions = record.get("preemptions", self.preemptions)
+            self.migrations = record.get("migrations", self.migrations)
+            self.lost_iterations = record.get("lost", self.lost_iterations)
+            visited = record.get("nodes_visited")
+            if isinstance(visited, list):
+                self.nodes_visited = [str(n) for n in visited]
+        elif rec == "reject":
+            self.state = "rejected"
+            self.node = None
+            self.reason = record.get("reason")
+            self.preemptions = record.get("preemptions", self.preemptions)
+            self.migrations = record.get("migrations", self.migrations)
+        return True
 
     def result(self) -> JobResult:
         """The terminal record (a rejected job has no start or rate)."""
@@ -177,8 +257,8 @@ class JournalFold:
     #: Job records naming a job with no surviving ``submit`` (interior
     #: corruption only — submits are journaled before the job exists).
     unmatched: int = 0
-    #: Terminal records for an already-terminal job (must stay 0: the
-    #: exactly-once invariant the property tests pin down).
+    #: Job records refused because the job was already terminal (must
+    #: stay 0: the exactly-once invariant the property tests pin down).
     duplicate_terminals: int = 0
 
     @property
@@ -186,6 +266,13 @@ class JournalFold:
         """Jobs the crash left live — the recovery requeue set, in
         submit order (running jobs lost their node with the process)."""
         return [job for job in self.jobs.values() if not job.terminal]
+
+    def roll_back(self, t: float) -> None:
+        """Unseat every running job at fleet time ``t``, as a coordinator
+        crash does (``Fleet.recover`` and each replayed ``recover``)."""
+        for job in self.jobs.values():
+            if job.state == "running":
+                job.apply("preempt", job.roll_back(t), t)
 
 
 class FleetJournal:
@@ -259,14 +346,15 @@ class FleetJournal:
                 self._apply_submit(fold, record)
             elif rec == "recover":
                 fold.recoveries += 1
+                fold.roll_back(t)
             elif rec in ("degrade", "restore", "node_crash", "node_rejoin", "quarantine"):
                 self._apply_node(fold, rec, record, t)
             else:
                 job = fold.jobs.get(record.get("job_id", ""))
                 if job is None:
                     fold.unmatched += 1
-                else:
-                    self._apply_job(fold, job, rec, record, t)
+                elif not job.apply(rec, record, t):
+                    fold.duplicate_terminals += 1
         except (TypeError, ValueError, OverflowError):
             # A wrongly typed field or job spec: nothing was applied yet.
             fold.skipped += 1
@@ -297,59 +385,3 @@ class FleetJournal:
             fold.skipped += 1
             return
         fold.nodes.setdefault(name, []).append((rec, t, failed_ssds, bw_sag))
-
-    @staticmethod
-    def _apply_job(
-        fold: JournalFold,
-        job: JobState,
-        rec: str,
-        record: dict[str, Any],
-        t: float,
-    ) -> None:
-        if rec in ("finish", "reject") and job.terminal:
-            fold.duplicate_terminals += 1
-            return  # exactly-once: the first terminal record wins
-        if rec == "assign":
-            job.state = "running"
-            job.node = record.get("node")
-            job.iter_time = record.get("iter_time", math.nan)
-            job.remaining_iterations = record.get("remaining", job.remaining_iterations)
-            job.started_at = t
-            if job.first_started_at is None:
-                job.first_started_at = t
-            if record.get("migrated"):
-                job.migrations += 1
-            if isinstance(job.node, str):
-                job.nodes_visited.append(job.node)
-        elif rec == "checkpoint":
-            job.checkpointed = max(job.checkpointed, record.get("iterations", 0))
-        elif rec in ("preempt", "requeue"):
-            job.state = "queued"
-            job.node = None
-            job.started_at = None
-            job.iter_time = math.nan
-            job.remaining_iterations = record.get("remaining", job.remaining_iterations)
-            job.lost_iterations += record.get("lost", 0)
-            job.preemptions += 1
-        elif rec == "reprice":
-            job.iter_time = record.get("iter_time", job.iter_time)
-            job.remaining_iterations = record.get("remaining", job.remaining_iterations)
-            job.started_at = t
-        elif rec == "finish":
-            job.state = "completed"
-            job.node = record.get("node", job.node)
-            job.remaining_iterations = 0
-            job.finished_at = t
-            job.iter_time = record.get("iteration_time", job.iter_time)
-            job.preemptions = record.get("preemptions", job.preemptions)
-            job.migrations = record.get("migrations", job.migrations)
-            job.lost_iterations = record.get("lost", job.lost_iterations)
-            visited = record.get("nodes_visited")
-            if isinstance(visited, list):
-                job.nodes_visited = [str(n) for n in visited]
-        elif rec == "reject":
-            job.state = "rejected"
-            job.node = None
-            job.reason = record.get("reason")
-            job.preemptions = record.get("preemptions", job.preemptions)
-            job.migrations = record.get("migrations", job.migrations)

@@ -420,6 +420,22 @@ class TestFleetCommand:
         assert "4 jobs already terminal" in text
         assert "0 requeued" in text
 
+    def test_fleet_resume_skips_a_degrade_beyond_the_array(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        code, _ = run_cli(
+            "fleet", "--arrivals", "4", "--show-events", "0", "--journal", path,
+        )
+        assert code == 0
+        # box-4090 has 12 drives: recovery skips this record, with a warning.
+        damaged = {"rec": "degrade", "t": 1.0, "node": "box-4090",
+                   "failed_ssds": 99, "bw_sag": 1.0}
+        with open(path, "a") as handle:
+            handle.write(json.dumps(damaged) + "\n")
+        code, text = run_cli("fleet", "--resume", "--journal", path)
+        assert code == 0
+        assert "4 jobs already terminal" in text
+        assert "0 requeued" in text
+
     def test_fleet_shares_runner_parent_flags(self):
         # The consolidated RunOptions parent parser: fleet accepts the
         # same --cache-dir/--retries/--timeout flags sweep does.

@@ -30,6 +30,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import tempfile
@@ -286,6 +287,66 @@ class TestJournalFold:
         assert recovered._by_name["n1"].failed_ssds == 1
         recovered.journal.close()
 
+    def test_degrade_beyond_the_array_skipped_at_recovery(self, tmp_path, caplog):
+        """A degrade failing more drives than the recovering node has is
+        kept by the fold, which does not know the cluster, and skipped by
+        recovery with one warning: the node stays as the earlier records
+        left it, and recovery runs on."""
+        path = str(tmp_path / "j.jsonl")
+        journal = FleetJournal(path)
+        journal.append("submit", 0.0, job=job("a").to_payload(), seq=0, submitted_at=0.0)
+        journal.append("degrade", 1.0, node="n0", failed_ssds=1, bw_sag=0.5)
+        journal.append("degrade", 2.0, node="n0", failed_ssds=99, bw_sag=0.25)
+        journal.close()
+        fold = FleetJournal(path).fold()
+        assert fold.skipped == 0 and len(fold.nodes["n0"]) == 2
+
+        with caplog.at_level(logging.WARNING, logger="repro.fleet"):
+            recovered = Fleet.recover(path, stub_nodes(2), "fifo", oracle=StubOracle())
+        skips = [r for r in caplog.records if "skipping the degrade" in r.getMessage()]
+        assert len(skips) == 1
+        n0 = recovered._by_name["n0"]
+        assert (n0.failed_ssds, n0.bw_sag) == (1, 0.5)
+        assert [state.spec.job_id for state in recovered._queue] == ["a"]
+        assert [r.state for r in recovered.drain().results] == ["completed"]
+        recovered.journal.close()
+
+    def test_record_after_terminal_is_refused(self, tmp_path):
+        """A job record after the job's terminal record is refused and
+        counted: the job stays completed, recovery requeues nothing, and
+        the journal keeps its one finish record."""
+        path = str(tmp_path / "j.jsonl")
+        journal = FleetJournal(path)
+        journal.append("submit", 0.0, job=job("a").to_payload(), seq=0, submitted_at=0.0)
+        journal.append(
+            "assign", 0.0, job_id="a", node="n0", iter_time=2.0, remaining=5,
+            migrated=False,
+        )
+        journal.append(
+            "finish", 10.0, job_id="a", node="n0", started_at=0.0,
+            iteration_time=2.0, preemptions=0, migrations=0, lost=0,
+            nodes_visited=["n0"],
+        )
+        journal.append(
+            "assign", 11.0, job_id="a", node="n1", iter_time=2.0, remaining=5,
+            migrated=True,
+        )
+        journal.close()
+        fold = FleetJournal(path).fold()
+        assert fold.duplicate_terminals == 1
+        a = fold.jobs["a"]
+        assert a.state == "completed" and a.node == "n0" and a.nodes_visited == ["n0"]
+
+        recovered = Fleet.recover(path, stub_nodes(2), "fifo", oracle=StubOracle())
+        assert not recovered._queue
+        outcome = recovered.drain()
+        assert [r.state for r in outcome.results] == ["completed"]
+        assert outcome.results[0].finished_at == 10.0
+        probe = FleetJournal(path)
+        finishes = [rec for rec in probe.records() if rec["rec"] == "finish"]
+        probe.close()
+        assert len(finishes) == 1
+
     def test_unknown_kind_rejected_on_append(self, tmp_path):
         journal = self._journal(tmp_path)
         with pytest.raises(FleetError, match="unknown journal record kind"):
@@ -468,6 +529,42 @@ class TestCrashRecovery:
         assert not by_name["n2"].alive and by_name["n2"].crash_times == [3.0]
         assert by_name["n0"].alive and not by_name["n0"].degraded
         recovered.journal.close()
+
+    @staticmethod
+    def _killed_twice(fleet, path, n, kills):
+        """Kill -9 and recover at each instant, then drain; results by id."""
+        for kill_at in kills:
+            fleet.run_until(kill_at)
+            kill_minus_nine(fleet)
+            fleet = Fleet.recover(path, stub_nodes(n), "fifo", oracle=StubOracle())
+        outcome = fleet.drain()
+        fleet.journal.close()
+        return {r.spec.job_id: r for r in outcome.results}
+
+    def test_every_recovery_counts_its_rollback(self, tmp_path):
+        """A job running at each of two coordinator crashes was unseated
+        twice: the second recovery's fold replays the first's rollback."""
+        fleet, path = journaled_fleet(tmp_path, n=1)
+        # 6B = 2.0 s/iter: checkpoints at t=6, then t=12 after the first
+        # recovery (clock 6) reassigns the job.
+        fleet.submit(job("a", iterations=10, checkpoint_every=3))
+        a = self._killed_twice(fleet, path, 1, (9.0, 15.0))["a"]
+        assert a.completed
+        assert (a.preemptions, a.lost_iterations) == (2, 0)
+
+    def test_second_recovery_keeps_the_first_rollback(self, tmp_path):
+        fleet, path = journaled_fleet(tmp_path, n=2)
+        # 6B = 2.0 s/iter.  a never checkpoints; b checkpoints every two
+        # iterations, which carries the journal clock to t=16.
+        fleet.submit(job("a", iterations=10))
+        fleet.submit(job("b", iterations=10, checkpoint_every=2))
+        results = self._killed_twice(fleet, path, 2, (17.0, 31.0))
+        # The first recovery (clock 16) loses a's 8 iterations and
+        # restarts it; the second (clock 20, b's finish) loses 2 more.
+        a, b = results["a"], results["b"]
+        assert (a.preemptions, a.lost_iterations) == (2, 10)
+        assert (b.preemptions, b.lost_iterations) == (1, 0)
+        assert a.completed and b.completed
 
 
 # -- node fail-stop, flap, quarantine -------------------------------------------
@@ -826,3 +923,82 @@ def test_checkpoints_bound_redone_work(trace, kill_at):
     finally:
         recovered.journal.close()
         tmp.cleanup()
+
+
+def job_fields(jobs):
+    """Every ``JobState`` field but ``version``, per job (NaN as None)."""
+    return {
+        job_id: {
+            name: None if isinstance(value, float) and math.isnan(value) else value
+            for name, value in vars(state).items()
+            if name != "version"
+        }
+        for job_id, state in jobs.items()
+    }
+
+
+class FoldCheckedJournal(FleetJournal):
+    """After each append, checks that the fold of the journal so far
+    equals the jobs of ``fleet`` (unset while a recovery builds it)."""
+
+    fleet = None
+
+    def append(self, rec, t, **fields_):
+        super().append(rec, t, **fields_)
+        if self.fleet is not None:
+            assert job_fields(self.fold().jobs) == job_fields(self.fleet._jobs), rec
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    trace=crash_trace_strategy,
+    scheduler=st.sampled_from(SCHEDULER_NAMES),
+    degrade_factor=st.sampled_from([1.2, 3.0]),
+    degrade=st.tuples(
+        st.floats(0.0, 400.0), st.sampled_from(["n0", "n1"]),
+        st.integers(0, 2), st.sampled_from([0.5, 1.0]),
+    ),
+    crash=st.tuples(
+        st.floats(0.0, 400.0), st.sampled_from(["n0", "n1"]), st.floats(1.0, 200.0),
+    ),
+    kills=st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 300.0)),
+)
+def test_fold_equals_live_fleet_at_every_append(
+    trace, scheduler, degrade_factor, degrade, crash, kills
+):
+    """Across random traces, every scheduler, a degrade, a node crash and
+    two kill-and-recover cycles: after each journal append, the fold of
+    the journal so far equals the live fleet's jobs in every field but
+    ``version``, and so does each recovered fleet."""
+    oracle = StubOracle(degrade_factor=degrade_factor)
+    degrade_at, degrade_node, failed_ssds, bw_sag = degrade
+    crash_at, crash_node, down_s = crash
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.jsonl")
+        journal = FoldCheckedJournal(path)
+        fleet = journal.fleet = Fleet(stub_nodes(2), scheduler, oracle=oracle, journal=journal)
+        try:
+            for spec in trace:
+                fleet.submit(spec)
+            killed = -1.0
+            for kill_at in (kills[0], kills[0] + kills[1], None):
+                # Drift the killed coordinator had not reached is armed again.
+                if degrade_at > killed:
+                    fleet.inject(
+                        degrade_at, degrade_node, failed_ssds=failed_ssds, bw_sag=bw_sag
+                    )
+                if crash_at > killed:
+                    fleet.inject_crash(crash_at, crash_node, rejoin_after=down_s)
+                if kill_at is None:
+                    break
+                fleet.run_until(kill_at)
+                kill_minus_nine(fleet)
+                killed = kill_at
+                journal = FoldCheckedJournal(path)
+                fleet = Fleet.recover(journal, stub_nodes(2), scheduler, oracle=oracle)
+                journal.fleet = fleet
+                assert job_fields(journal.fold().jobs) == job_fields(fleet._jobs)
+            outcome = fleet.drain()
+        finally:
+            journal.close()
+    assert {r.spec.job_id for r in outcome.results} == {spec.job_id for spec in trace}
